@@ -161,45 +161,9 @@ func adaptiveExp() error {
 		return fmt.Errorf("adaptive: replay digests diverged")
 	}
 	if *baselineFlag != "" {
-		if err := checkAdaptiveBaseline(*baselineFlag, rep, maxW); err != nil {
+		if err := checkBaseline("adaptive", *baselineFlag, rep, maxW); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// checkAdaptiveBaseline compares the max-worker leg's throughput
-// against a committed prior BENCH_adaptive.json, failing on a
-// regression of more than 15% — the same floor-not-race gate as the
-// parallel and scale experiments.
-func checkAdaptiveBaseline(path string, rep adaptiveReport, maxW int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("adaptive: baseline: %w", err)
-	}
-	var base adaptiveReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("adaptive: baseline %s: %w", path, err)
-	}
-	pick := func(rows []adaptiveRow) *adaptiveRow {
-		for i := range rows {
-			if rows[i].Workers == maxW {
-				return &rows[i]
-			}
-		}
-		return nil
-	}
-	cur, prev := pick(rep.Rows), pick(base.Rows)
-	if cur == nil || prev == nil || prev.EventsPerSec <= 0 || base.Seed != rep.Seed {
-		fmt.Printf("baseline %s has no comparable %d-worker row; skipping throughput gate\n", path, maxW)
-		return nil
-	}
-	ratio := cur.EventsPerSec / prev.EventsPerSec
-	fmt.Printf("baseline gate: %d-worker %.0f events/sec vs baseline %.0f (%.2fx, floor 0.85x; baseline host GOMAXPROCS=%d, this host %d)\n",
-		maxW, cur.EventsPerSec, prev.EventsPerSec, ratio, prev.Gomaxprocs, cur.Gomaxprocs)
-	if ratio < 0.85 {
-		return fmt.Errorf("adaptive: %d-worker events/sec regressed %.0f%% below baseline %s",
-			maxW, (1-ratio)*100, path)
 	}
 	return nil
 }

@@ -247,29 +247,54 @@ func parallelExp() error {
 		return fmt.Errorf("parallel: schedule digests diverged across worker counts")
 	}
 	if *baselineFlag != "" {
-		if err := checkBaseline(*baselineFlag, rep, maxW); err != nil {
+		if err := checkBaseline("parallel", *baselineFlag, rep, maxW); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// gateReport is what the baseline gate reads from any BENCH_*.json
+// report: the fields that identify its scenario and, per row, the
+// engine and its throughput. Every report names these fields alike;
+// one a report lacks reads as zero on both sides.
+type gateReport struct {
+	Slices int       `json:"slices"`
+	Nodes  int       `json:"nodes"`
+	Seed   int64     `json:"seed"`
+	Rows   []gateRow `json:"rows"`
+}
+
+type gateRow struct {
+	Workers      int     `json:"workers"`
+	Gomaxprocs   int     `json:"gomaxprocs"`
+	EventsPerSec float64 `json:"events_per_sec"`
+}
+
 // checkBaseline compares the max-worker leg's throughput against a
-// committed prior report and fails on a regression of more than 15%.
-// The committed baseline records whatever host class generated it, so
-// the gate is a floor, not a race: a faster runner passes trivially,
-// while dropping 15% below even the baseline host signals a real
-// executor regression.
-func checkBaseline(path string, rep parallelReport, maxW int) error {
+// committed prior report of experiment exp and fails on a regression of
+// more than 15%. The committed baseline records whatever host class
+// generated it, so the gate is a floor, not a race: a faster runner
+// passes trivially, while dropping 15% below even the baseline host
+// signals a real regression. A baseline of a different scenario (slice
+// or node count, seed) or without a max-worker row is skipped.
+func checkBaseline(exp, path string, rep any, maxW int) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("parallel: baseline: %w", err)
+		return fmt.Errorf("%s: baseline: %w", exp, err)
 	}
-	var base parallelReport
+	var cur, base gateReport
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parallel: baseline %s: %w", path, err)
+		return fmt.Errorf("%s: baseline %s: %w", exp, path, err)
 	}
-	pick := func(rows []parallelRow) *parallelRow {
+	js, err := json.Marshal(rep)
+	if err == nil {
+		err = json.Unmarshal(js, &cur)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: report: %w", exp, err)
+	}
+	pick := func(rows []gateRow) *gateRow {
 		for i := range rows {
 			if rows[i].Workers == maxW {
 				return &rows[i]
@@ -277,17 +302,18 @@ func checkBaseline(path string, rep parallelReport, maxW int) error {
 		}
 		return nil
 	}
-	cur, prev := pick(rep.Rows), pick(base.Rows)
-	if cur == nil || prev == nil || prev.EventsPerSec <= 0 {
+	c, p := pick(cur.Rows), pick(base.Rows)
+	if c == nil || p == nil || p.EventsPerSec <= 0 ||
+		base.Slices != cur.Slices || base.Nodes != cur.Nodes || base.Seed != cur.Seed {
 		fmt.Printf("baseline %s has no comparable %d-worker row; skipping throughput gate\n", path, maxW)
 		return nil
 	}
-	ratio := cur.EventsPerSec / prev.EventsPerSec
+	ratio := c.EventsPerSec / p.EventsPerSec
 	fmt.Printf("baseline gate: %d-worker %.0f events/sec vs baseline %.0f (%.2fx, floor 0.85x; baseline host GOMAXPROCS=%d, this host %d)\n",
-		maxW, cur.EventsPerSec, prev.EventsPerSec, ratio, prev.Gomaxprocs, cur.Gomaxprocs)
+		maxW, c.EventsPerSec, p.EventsPerSec, ratio, p.Gomaxprocs, c.Gomaxprocs)
 	if ratio < 0.85 {
-		return fmt.Errorf("parallel: %d-worker events/sec regressed %.0f%% below baseline %s",
-			maxW, (1-ratio)*100, path)
+		return fmt.Errorf("%s: %d-worker events/sec regressed %.0f%% below baseline %s",
+			exp, maxW, (1-ratio)*100, path)
 	}
 	return nil
 }

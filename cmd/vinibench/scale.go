@@ -151,45 +151,9 @@ func scaleExp() error {
 		return fmt.Errorf("scale: digests diverged across worker counts")
 	}
 	if *baselineFlag != "" {
-		if err := checkScaleBaseline(*baselineFlag, rep, maxW); err != nil {
+		if err := checkBaseline("scale", *baselineFlag, rep, maxW); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// checkScaleBaseline compares the max-worker leg's throughput against a
-// committed prior BENCH_scale.json, failing on a regression of more
-// than 15% — the same floor-not-race gate as the parallel experiment.
-func checkScaleBaseline(path string, rep scaleReport, maxW int) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("scale: baseline: %w", err)
-	}
-	var base scaleReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("scale: baseline %s: %w", path, err)
-	}
-	pick := func(rows []scaleRow) *scaleRow {
-		for i := range rows {
-			if rows[i].Workers == maxW {
-				return &rows[i]
-			}
-		}
-		return nil
-	}
-	cur, prev := pick(rep.Rows), pick(base.Rows)
-	if cur == nil || prev == nil || prev.EventsPerSec <= 0 ||
-		base.Slices != rep.Slices || base.Nodes != rep.Nodes {
-		fmt.Printf("baseline %s has no comparable %d-worker row; skipping throughput gate\n", path, maxW)
-		return nil
-	}
-	ratio := cur.EventsPerSec / prev.EventsPerSec
-	fmt.Printf("baseline gate: %d-worker %.0f events/sec vs baseline %.0f (%.2fx, floor 0.85x; baseline host GOMAXPROCS=%d, this host %d)\n",
-		maxW, cur.EventsPerSec, prev.EventsPerSec, ratio, prev.Gomaxprocs, cur.Gomaxprocs)
-	if ratio < 0.85 {
-		return fmt.Errorf("scale: %d-worker events/sec regressed %.0f%% below baseline %s",
-			maxW, (1-ratio)*100, path)
 	}
 	return nil
 }

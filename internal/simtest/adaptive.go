@@ -13,7 +13,6 @@ package simtest
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"net/netip"
 	"time"
@@ -22,7 +21,6 @@ import (
 	"vini/internal/netem"
 	"vini/internal/packet"
 	"vini/internal/sched"
-	"vini/internal/sim"
 	"vini/internal/traffic"
 )
 
@@ -47,45 +45,24 @@ type AdaptivePhase struct {
 	DeliveredBps float64
 }
 
-// AdaptiveResult is everything one scenario produced.
+// AdaptiveResult is everything one scenario produced. Its Digest folds
+// the phase observations (float state via exact bits).
 type AdaptiveResult struct {
-	Seed          int64
-	Workers       int
+	Report
 	BottleneckBps float64
 	AltBps        float64
 	CrossBps      float64
 	Phases        []AdaptivePhase
-	Log           []string
-	Violations    []string
-	// Digest folds the phase observations (float state via exact bits).
-	Digest uint64
-	// ScheduleDigest, TelemetryDigest, FlightDigest and the Telemetry
-	// JSON snapshot carry the same parity obligations as in Result.
-	ScheduleDigest  uint64
-	TelemetryDigest uint64
-	FlightDigest    uint64
-	Telemetry       string
 	// TracePoints counts sender-side controller updates.
 	TracePoints int
-	// Events counts fired executor events; RunSeconds is wall-clock
-	// spend (diagnostic only — never folded into digests).
-	Events     uint64
+	// RunSeconds is wall-clock spend (diagnostic only — never folded
+	// into digests).
 	RunSeconds float64
 }
 
-// Failed reports whether any invariant was violated.
-func (r *AdaptiveResult) Failed() bool { return len(r.Violations) > 0 }
-
 func (r *AdaptiveResult) String() string {
-	s := fmt.Sprintf("adaptive seed=%d workers=%d bottleneck=%.0f digest=%016x",
-		r.Seed, r.Workers, r.BottleneckBps, r.Digest)
-	for _, l := range r.Log {
-		s += "\n  " + l
-	}
-	for _, v := range r.Violations {
-		s += "\n  VIOLATION: " + v
-	}
-	return s
+	return r.render(fmt.Sprintf("adaptive seed=%d workers=%d bottleneck=%.0f digest=%016x",
+		r.Seed, r.Workers, r.BottleneckBps, r.Digest))
 }
 
 // Convergence band: after a quiescent window the estimate must sit
@@ -103,23 +80,10 @@ const (
 // RunAdaptive executes one seeded adaptive scenario end to end.
 func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 	wallStart := time.Now()
-	rng := sim.NewRNG(opts.Seed)
-	vini := core.New(opts.Seed)
-	if opts.Workers > 0 {
-		vini = core.NewParallel(opts.Seed, opts.Workers)
-	}
-	vini.EnableTelemetry()
-	res := &AdaptiveResult{Seed: opts.Seed, Workers: opts.Workers}
-	note := func(format string, args ...any) {
-		res.Log = append(res.Log, fmt.Sprintf(format, args...))
-	}
-	violate := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
-	digest := fnv.New64a()
-	fold := func(format string, args ...any) {
-		fmt.Fprintf(digest, format+"\n", args...)
-	}
+	res := &AdaptiveResult{}
+	w := newWorld(opts.Seed, opts.Workers, &res.Report)
+	defer w.vini.Close()
+	rng, vini, loop := w.rng, w.vini, w.loop
 
 	// Topology: a — b — c — d carries the adaptive flow; b — e — c is
 	// the slower alternate path the flap reroutes onto. The bottleneck
@@ -161,13 +125,11 @@ func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 	nodeB, _ := vini.Net.Node("b")
 	nodeC, _ := vini.Net.Node("c")
 	nodeD, _ := vini.Net.Node("d")
-	baselinePool := packet.Stats()
 	baselineListeners := 0
 	for _, name := range names {
 		n, _ := vini.Net.Node(name)
 		baselineListeners += n.StackListeners()
 	}
-	loop := vini.Loop()
 
 	// The cross-traffic overlay: a two-vnode slice embedded at the
 	// bottleneck's endpoints, so its tunnel shares the b—c queue.
@@ -189,7 +151,7 @@ func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 	slice.StartOSPF(time.Second, 3*time.Second)
 	vini.Run(loop.Now() + 15*time.Second)
 	if _, ok := vb.FIB.Lookup(vc.TapAddr); !ok {
-		violate("overlay never converged: no route b->c")
+		w.violate("overlay never converged: no route b->c")
 	}
 
 	flow, err := traffic.StartAdaptive(vini.Net, nodeA, nodeD, traffic.AdaptiveConfig{
@@ -213,13 +175,13 @@ func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 		lastRx = rx
 		res.Phases = append(res.Phases, AdaptivePhase{
 			Name: name, AvailBps: avail, EstimateBps: est, DeliveredBps: delivered})
-		note("%s: avail=%.0f estimate=%.0f delivered=%.0f gradient=%.0fns",
+		w.note("%s: avail=%.0f estimate=%.0f delivered=%.0f gradient=%.0fns",
 			name, avail, est, delivered, flow.GradientNs())
 		if est < adaptiveLo*avail || est > adaptiveHi*avail {
-			violate("%s: estimate %.0f outside [%.2f, %.2f] x avail %.0f",
+			w.violate("%s: estimate %.0f outside [%.2f, %.2f] x avail %.0f",
 				name, est, adaptiveLo, adaptiveHi, avail)
 		}
-		fold("%s est=%016x grad=%016x rx=%d", name,
+		w.fold("%s est=%016x grad=%016x rx=%d", name,
 			math.Float64bits(est), math.Float64bits(flow.GradientNs()), rx)
 	}
 
@@ -235,19 +197,19 @@ func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 	}
 	phase("cross", 25*time.Second, bottleneck-cross)
 	if crossFlow.Received() == 0 {
-		violate("cross-traffic never flowed through the overlay")
+		w.violate("cross-traffic never flowed through the overlay")
 	}
 
 	// Phase 3: pause the overlay — the cross load vanishes at b, the
 	// estimate must recover the full bottleneck.
 	if err := slice.Pause(); err != nil {
-		violate("pause: %v", err)
+		w.violate("pause: %v", err)
 	}
 	phase("paused", 25*time.Second, bottleneck)
 
 	// Phase 4: resume — cross load returns after the overlay reconverges.
 	if err := slice.Resume(); err != nil {
-		violate("resume: %v", err)
+		w.violate("resume: %v", err)
 	}
 	vini.Run(loop.Now() + 15*time.Second) // overlay reconvergence warmup
 	lastRx = flow.Received()
@@ -282,61 +244,39 @@ func RunAdaptive(opts AdaptiveOptions) (*AdaptiveResult, error) {
 		}
 	}
 	if maxRate > adaptiveRunaway*bottleneck {
-		violate("rate runaway: peak rate %.0f above %.2f x bottleneck %.0f",
+		w.violate("rate runaway: peak rate %.0f above %.2f x bottleneck %.0f",
 			maxRate, adaptiveRunaway, bottleneck)
 	}
 	if res.TracePoints == 0 {
-		violate("controller produced no trace points")
+		w.violate("controller produced no trace points")
 	}
-	fold("trace n=%d max=%016x", res.TracePoints, math.Float64bits(maxRate))
+	w.fold("trace n=%d max=%016x", res.TracePoints, math.Float64bits(maxRate))
 
 	// Teardown: every workload closed, the overlay destroyed, then the
 	// churn-grade audits.
 	flow.Close()
 	crossFlow.Close()
 	if err := slice.Destroy(); err != nil {
-		violate("destroy: %v", err)
+		w.violate("destroy: %v", err)
 	}
-	if tel := vini.Telemetry(); tel != nil {
-		if live := tel.Reg.Series("cross"); live != 0 {
-			violate("%d telemetry series survive the cross slice", live)
-		}
+	if live := vini.Telemetry().Reg.Series("cross"); live != 0 {
+		w.violate("%d telemetry series survive the cross slice", live)
 	}
 	vini.Run(loop.Now() + 3*time.Second)
-	for i := 0; i < 40 && packet.Stats().Sub(baselinePool).InFlight() != 0; i++ {
-		vini.Run(loop.Now() + 50*time.Millisecond)
-	}
-	if fl := packet.Stats().Sub(baselinePool).InFlight(); fl != 0 {
-		violate("pool ledger unbalanced after teardown: %d in flight", fl)
-	}
+	w.teardown("teardown")
 	listeners := 0
 	for _, name := range names {
 		n, _ := vini.Net.Node(name)
 		listeners += n.StackListeners()
 	}
 	if listeners != baselineListeners {
-		violate("endpoint ledger unbalanced: %d stack listeners, baseline %d",
+		w.violate("endpoint ledger unbalanced: %d stack listeners, baseline %d",
 			listeners, baselineListeners)
 	}
-	if p := loop.Pending(); p != 0 {
-		violate("%d events still pending after teardown (orphaned timers)", p)
-	}
-	fold("clean pending=%d listeners=%d", loop.Pending(), listeners)
-
-	for _, v := range res.Violations {
-		fold("violation %s", v)
-	}
-	res.Digest = digest.Sum64()
-	res.Events = vini.Executor().TotalFired()
+	w.fold("clean pending=%d listeners=%d", loop.Pending(), listeners)
 	res.RunSeconds = time.Since(wallStart).Seconds()
-	res.ScheduleDigest = vini.Executor().ScheduleDigest()
-	if tel := vini.Telemetry(); tel != nil {
-		res.TelemetryDigest = tel.Reg.Digest()
-		res.FlightDigest = tel.Rec.Digest()
-		if js, err := tel.SnapshotJSON(); err == nil {
-			res.Telemetry = string(js)
-		}
+	if err := w.finish(); err != nil {
+		return nil, err
 	}
-	vini.Close()
 	return res, nil
 }

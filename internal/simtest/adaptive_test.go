@@ -1,24 +1,12 @@
 package simtest
 
 import (
-	"fmt"
-	"os"
 	"strings"
 	"testing"
 )
 
-// adaptiveFailArtifact mirrors failArtifact for adaptive results.
-func adaptiveFailArtifact(r *AdaptiveResult) {
-	path := os.Getenv("SIMTEST_FAIL_FILE")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%s\n", r)
+func runAdaptive(seed int64, workers int) (*AdaptiveResult, error) {
+	return RunAdaptive(AdaptiveOptions{Seed: seed, Workers: workers})
 }
 
 // TestAdaptiveConverges is the headline adaptive-controller property:
@@ -31,29 +19,15 @@ func adaptiveFailArtifact(r *AdaptiveResult) {
 // and 4-worker sharded execution. CI runs it under -race at
 // GOMAXPROCS 1 and 4.
 func TestAdaptiveConverges(t *testing.T) {
-	seeds := int64(10)
-	if testing.Short() {
-		seeds = 3
-	}
-	first := int64(1)
-	if *flagSeed >= 0 {
-		first, seeds = *flagSeed, 1
-	}
-	for s := first; s < first+seeds; s++ {
-		one, err := RunAdaptive(AdaptiveOptions{Seed: s, Workers: 1})
-		if err != nil {
-			t.Fatalf("seed %d workers=1: harness error: %v", s, err)
+	first, n := sweep(10, 3)
+	for s := first; s < first+n; s++ {
+		// 1/2/4 parity; the 2-worker leg on the first seeds only keeps
+		// the full sweep affordable.
+		workers := []int{1, 4}
+		if s < first+2 {
+			workers = []int{1, 2, 4}
 		}
-		four, err := RunAdaptive(AdaptiveOptions{Seed: s, Workers: 4})
-		if err != nil {
-			t.Fatalf("seed %d workers=4: harness error: %v", s, err)
-		}
-		for _, r := range []*AdaptiveResult{one, four} {
-			if r.Failed() {
-				adaptiveFailArtifact(r)
-				t.Errorf("seed %d workers=%d: adaptive violation — replay with: go test ./internal/simtest -seed %d -run TestAdaptiveConverges\n%s",
-					s, r.Workers, s, r)
-			}
+		for _, r := range parity(t, s, workers, runAdaptive) {
 			if len(r.Phases) != 6 {
 				t.Errorf("seed %d workers=%d: %d phases measured, want 6", s, r.Workers, len(r.Phases))
 			}
@@ -61,68 +35,15 @@ func TestAdaptiveConverges(t *testing.T) {
 				t.Errorf("seed %d workers=%d: vacuous run (no controller trace)", s, r.Workers)
 			}
 		}
-		if one.ScheduleDigest != four.ScheduleDigest {
-			adaptiveFailArtifact(four)
-			t.Errorf("seed %d: event-schedule digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.ScheduleDigest, four.ScheduleDigest)
-		}
-		if one.Digest != four.Digest {
-			adaptiveFailArtifact(four)
-			t.Errorf("seed %d: adaptive digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.Digest, four.Digest)
-		}
-		if one.TelemetryDigest != four.TelemetryDigest {
-			t.Errorf("seed %d: telemetry digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.TelemetryDigest, four.TelemetryDigest)
-		}
-		if one.FlightDigest != four.FlightDigest {
-			t.Errorf("seed %d: flight digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.FlightDigest, four.FlightDigest)
-		}
-		if one.Telemetry != four.Telemetry {
-			t.Errorf("seed %d: telemetry JSON not byte-identical (lens %d vs %d)",
-				s, len(one.Telemetry), len(four.Telemetry))
-		}
-		// The tentpole demands 1/2/4 parity; a 2-worker spot check on the
-		// first seeds keeps the full sweep affordable.
-		if s < first+2 {
-			two, err := RunAdaptive(AdaptiveOptions{Seed: s, Workers: 2})
-			if err != nil {
-				t.Fatalf("seed %d workers=2: harness error: %v", s, err)
-			}
-			if two.Digest != one.Digest || two.ScheduleDigest != one.ScheduleDigest {
-				t.Errorf("seed %d: 2-worker run diverged: digest %016x vs %016x",
-					s, two.Digest, one.Digest)
-			}
-		}
-		if testing.Verbose() {
-			t.Logf("seed %d: bottleneck=%.0f trace=%d digest=%016x",
-				s, one.BottleneckBps, one.TracePoints, one.Digest)
-		}
 	}
 }
 
 // TestAdaptiveClassic runs the regime on the classic single-timeline
 // engine (Workers=0), a different deterministic baseline.
 func TestAdaptiveClassic(t *testing.T) {
-	seeds := int64(5)
-	if testing.Short() {
-		seeds = 2
-	}
-	first := int64(1)
-	if *flagSeed >= 0 {
-		first, seeds = *flagSeed, 1
-	}
-	for s := first; s < first+seeds; s++ {
-		r, err := RunAdaptive(AdaptiveOptions{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", s, err)
-		}
-		if r.Failed() {
-			adaptiveFailArtifact(r)
-			t.Errorf("seed %d: adaptive violation — replay with: go test ./internal/simtest -seed %d -run TestAdaptiveClassic\n%s",
-				s, s, r)
-		}
+	first, n := sweep(5, 2)
+	for s := first; s < first+n; s++ {
+		run(t, s, 0, runAdaptive)
 	}
 }
 
@@ -131,19 +52,7 @@ func TestAdaptiveClassic(t *testing.T) {
 // IEEE-754 op sequence over simulated time, nothing else.
 func TestAdaptiveReplayDeterminism(t *testing.T) {
 	for s := int64(1); s <= 3; s++ {
-		a, err := RunAdaptive(AdaptiveOptions{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		b, err := RunAdaptive(AdaptiveOptions{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		if a.Digest != b.Digest || a.TelemetryDigest != b.TelemetryDigest ||
-			a.FlightDigest != b.FlightDigest {
-			t.Errorf("seed %d: adaptive replay diverged: digest %016x vs %016x",
-				s, a.Digest, b.Digest)
-		}
+		parity(t, s, []int{0, 0}, runAdaptive)
 	}
 }
 

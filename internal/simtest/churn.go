@@ -2,15 +2,9 @@ package simtest
 
 import (
 	"fmt"
-	"hash/fnv"
-	"net/netip"
 	"time"
 
 	"vini/internal/core"
-	"vini/internal/netem"
-	"vini/internal/packet"
-	"vini/internal/sched"
-	"vini/internal/sim"
 )
 
 // ChurnOptions configures a slice-churn scenario: one long-lived
@@ -30,38 +24,18 @@ type ChurnOptions struct {
 	Workers int
 }
 
-// ChurnResult is everything one churn scenario produced.
+// ChurnResult is everything one churn scenario produced. Its Digest
+// folds every per-round observation: slice identities, quiescent FIB
+// fingerprints, re-embedding outcomes.
 type ChurnResult struct {
-	Seed       int64
-	Workers    int
-	Rounds     int
-	Nodes      int
-	Log        []string
-	Violations []string
-	// Digest folds every per-round observation: slice identities,
-	// quiescent FIB fingerprints, re-embedding outcomes.
-	Digest uint64
-	// ScheduleDigest, TelemetryDigest, FlightDigest and the Telemetry
-	// JSON snapshot carry the same parity obligations as in Result.
-	ScheduleDigest  uint64
-	TelemetryDigest uint64
-	FlightDigest    uint64
-	Telemetry       string
+	Report
+	Rounds int
+	Nodes  int
 }
 
-// Failed reports whether any lifecycle invariant was violated.
-func (r *ChurnResult) Failed() bool { return len(r.Violations) > 0 }
-
 func (r *ChurnResult) String() string {
-	s := fmt.Sprintf("churn seed=%d workers=%d rounds=%d nodes=%d digest=%016x",
-		r.Seed, r.Workers, r.Rounds, r.Nodes, r.Digest)
-	for _, l := range r.Log {
-		s += "\n  " + l
-	}
-	for _, v := range r.Violations {
-		s += "\n  VIOLATION: " + v
-	}
-	return s
+	return r.render(fmt.Sprintf("churn seed=%d workers=%d rounds=%d nodes=%d digest=%016x",
+		r.Seed, r.Workers, r.Rounds, r.Nodes, r.Digest))
 }
 
 // churnSlices is the number of concurrent slices per round; with it the
@@ -74,48 +48,14 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 	if opts.Rounds == 0 {
 		opts.Rounds = 4
 	}
-	rng := sim.NewRNG(opts.Seed)
-	n := 4 + rng.Intn(3)
-	vini := core.New(opts.Seed)
-	if opts.Workers > 0 {
-		vini = core.NewParallel(opts.Seed, opts.Workers)
-	}
-	vini.EnableTelemetry()
-	res := &ChurnResult{Seed: opts.Seed, Workers: opts.Workers,
-		Rounds: opts.Rounds, Nodes: n}
-	note := func(format string, args ...any) {
-		res.Log = append(res.Log, fmt.Sprintf(format, args...))
-	}
-	violate := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
-
-	prof := netem.DETERProfile()
-	var nodes []string
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("n%d", i)
-		nodes = append(nodes, name)
-		addr := netip.AddrFrom4([4]byte{192, 168, 2, byte(1 + i)})
-		if _, err := vini.AddNode(name, addr, prof, sched.Options{}); err != nil {
-			return nil, err
-		}
-	}
-	links := genTopology(rng, n)
-	for _, l := range links {
-		if _, err := vini.AddLink(netem.LinkConfig{
-			A: nodes[l.a], B: nodes[l.b],
-			Bandwidth: 1e9, Delay: time.Duration(1+rng.Intn(5)) * time.Millisecond,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	vini.ComputeRoutes()
-
-	baseline := packet.Stats()
-	loop := vini.Loop()
-	digest := fnv.New64a()
-	fold := func(format string, args ...any) {
-		fmt.Fprintf(digest, format+"\n", args...)
+	res := &ChurnResult{Rounds: opts.Rounds}
+	w := newWorld(opts.Seed, opts.Workers, &res.Report)
+	defer w.vini.Close()
+	rng, vini, loop := w.rng, w.vini, w.loop
+	res.Nodes = 4 + rng.Intn(3)
+	nodes, links, err := w.genSubstrate(res.Nodes, 2, 5)
+	if err != nil {
+		return nil, err
 	}
 
 	for round := 0; round < opts.Rounds; round++ {
@@ -138,7 +78,7 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 			// Recycling bound: with churnSlices concurrent slices ever
 			// alive, destroyed ids must be reissued rather than burned.
 			if s.ID() > churnSlices {
-				violate("round %d: slice id %d exceeds concurrency bound %d (ids not recycled)",
+				w.violate("round %d: slice id %d exceeds concurrency bound %d (ids not recycled)",
 					round, s.ID(), churnSlices)
 			}
 			var vns []*core.VirtualNode
@@ -155,36 +95,36 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 				}
 			}
 			s.StartOSPF(time.Second, 3*time.Second)
-			fold("round %d slice %s id=%d port=%d prefix=%s",
+			w.fold("round %d slice %s id=%d port=%d prefix=%s",
 				round, cfg.Name, s.ID(), s.BasePort(), s.Prefix())
 			slices = append(slices, s)
 			vnodes = append(vnodes, vns)
 		}
-		note("round %d: created %d slices", round, len(slices))
+		w.note("round %d: created %d slices", round, len(slices))
 		vini.Run(loop.Now() + 12*time.Second)
 		for i := range slices {
-			fold("round %d converged s%d fib=%016x", round, i, fibFingerprint(vnodes[i]))
+			w.fold("round %d converged s%d fib=%016x", round, i, fibFingerprint(vnodes[i]))
 		}
 
 		// Pause one slice across the OSPF dead interval, then resume and
 		// let it reconverge; the sibling slice must be undisturbed.
 		paused := rng.Intn(len(slices))
 		if err := slices[paused].Pause(); err != nil {
-			violate("round %d: pause: %v", round, err)
+			w.violate("round %d: pause: %v", round, err)
 		}
 		vini.Run(loop.Now() + 5*time.Second)
 		sibling := (paused + 1) % len(slices)
 		if !reachesPeer(vnodes[sibling]) {
-			violate("round %d: sibling slice lost routes while s%d was paused", round, paused)
+			w.violate("round %d: sibling slice lost routes while s%d was paused", round, paused)
 		}
 		if err := slices[paused].Resume(); err != nil {
-			violate("round %d: resume: %v", round, err)
+			w.violate("round %d: resume: %v", round, err)
 		}
 		vini.Run(loop.Now() + 15*time.Second)
 		if !reachesPeer(vnodes[paused]) {
-			violate("round %d: slice s%d did not reconverge after resume", round, paused)
+			w.violate("round %d: slice s%d did not reconverge after resume", round, paused)
 		}
-		fold("round %d resumed s%d fib=%016x", round, paused, fibFingerprint(vnodes[paused]))
+		w.fold("round %d resumed s%d fib=%016x", round, paused, fibFingerprint(vnodes[paused]))
 
 		// Fail one substrate link, re-embed the exposed slice around it,
 		// then restore and re-embed back.
@@ -195,7 +135,7 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 		vini.Run(loop.Now() + 2*time.Second)
 		moved, err := slices[0].ReEmbed()
 		if err != nil {
-			violate("round %d: reembed: %v", round, err)
+			w.violate("round %d: reembed: %v", round, err)
 		}
 		vini.Run(loop.Now() + 5*time.Second)
 		if err := vini.RestoreLink(nodes[l.a], nodes[l.b], 100*time.Millisecond); err != nil {
@@ -204,55 +144,33 @@ func RunChurn(opts ChurnOptions) (*ChurnResult, error) {
 		vini.Run(loop.Now() + 2*time.Second)
 		back, err := slices[0].ReEmbed()
 		if err != nil {
-			violate("round %d: reembed back: %v", round, err)
+			w.violate("round %d: reembed back: %v", round, err)
 		}
-		fold("round %d fail %s-%s moved=%d back=%d", round, nodes[l.a], nodes[l.b], moved, back)
-		note("round %d: reembed moved %d, back %d", round, moved, back)
+		w.fold("round %d fail %s-%s moved=%d back=%d", round, nodes[l.a], nodes[l.b], moved, back)
+		w.note("round %d: reembed moved %d, back %d", round, moved, back)
 
 		// Teardown in creation order, then audit the wreckage.
 		for i, s := range slices {
 			name := fmt.Sprintf("churn-r%d-s%d", round, i)
 			if err := s.Destroy(); err != nil {
-				violate("round %d: destroy %s: %v", round, name, err)
+				w.violate("round %d: destroy %s: %v", round, name, err)
 				continue
 			}
 			if err := s.Audit(); err != nil {
-				violate("round %d: audit %s: %v", round, name, err)
+				w.violate("round %d: audit %s: %v", round, name, err)
 			}
-			if tel := vini.Telemetry(); tel != nil {
-				if live := tel.Reg.Series(name); live != 0 {
-					violate("round %d: %d telemetry series survive %s", round, live, name)
-				}
+			if live := vini.Telemetry().Reg.Series(name); live != 0 {
+				w.violate("round %d: %d telemetry series survive %s", round, live, name)
 			}
 		}
-		// Drain in-flight deliveries; then the pool ledger must balance
-		// and no orphaned timer may remain in any domain heap.
+		// Drain in-flight deliveries, then audit the clean substrate.
 		vini.Run(loop.Now() + 3*time.Second)
-		for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-			vini.Run(loop.Now() + 50*time.Millisecond)
-		}
-		if fl := packet.Stats().Sub(baseline).InFlight(); fl != 0 {
-			violate("round %d: pool ledger unbalanced after teardown: %d in flight", round, fl)
-		}
-		if p := loop.Pending(); p != 0 {
-			violate("round %d: %d events still pending after teardown (orphaned timers)", round, p)
-		}
-		fold("round %d clean pending=%d", round, loop.Pending())
+		w.teardown(fmt.Sprintf("round %d teardown", round))
+		w.fold("round %d clean pending=%d", round, loop.Pending())
 	}
-
-	for _, v := range res.Violations {
-		fold("violation %s", v)
+	if err := w.finish(); err != nil {
+		return nil, err
 	}
-	res.Digest = digest.Sum64()
-	res.ScheduleDigest = vini.Executor().ScheduleDigest()
-	if tel := vini.Telemetry(); tel != nil {
-		res.TelemetryDigest = tel.Reg.Digest()
-		res.FlightDigest = tel.Rec.Digest()
-		if js, err := tel.SnapshotJSON(); err == nil {
-			res.Telemetry = string(js)
-		}
-	}
-	vini.Close()
 	return res, nil
 }
 

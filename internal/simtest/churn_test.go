@@ -1,47 +1,18 @@
 package simtest
 
-import (
-	"fmt"
-	"os"
-	"testing"
-)
+import "testing"
 
-// churnFailArtifact mirrors failArtifact for churn results.
-func churnFailArtifact(r *ChurnResult) {
-	path := os.Getenv("SIMTEST_FAIL_FILE")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%s\n", r)
+func runChurn(seed int64, workers int) (*ChurnResult, error) {
+	return RunChurn(ChurnOptions{Seed: seed, Workers: workers})
 }
 
 // TestChurn explores seeded slice-churn scenarios on the classic
 // single-timeline engine: every teardown must leave the substrate
 // exactly as clean as before the slice existed.
 func TestChurn(t *testing.T) {
-	seeds := int64(8)
-	if testing.Short() {
-		seeds = 3
-	}
-	first := int64(1)
-	if *flagSeed >= 0 {
-		first, seeds = *flagSeed, 1
-	}
-	for s := first; s < first+seeds; s++ {
-		r, err := RunChurn(ChurnOptions{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", s, err)
-		}
-		if r.Failed() {
-			churnFailArtifact(r)
-			t.Errorf("seed %d: lifecycle violation — replay with: go test ./internal/simtest -seed %d -run TestChurn\n%s",
-				s, s, r)
-		}
+	first, n := sweep(8, 3)
+	for s := first; s < first+n; s++ {
+		run(t, s, 0, runChurn)
 	}
 }
 
@@ -49,19 +20,7 @@ func TestChurn(t *testing.T) {
 // in every digest.
 func TestChurnReplayDeterminism(t *testing.T) {
 	for s := int64(1); s <= 3; s++ {
-		a, err := RunChurn(ChurnOptions{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		b, err := RunChurn(ChurnOptions{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		if a.Digest != b.Digest || a.TelemetryDigest != b.TelemetryDigest ||
-			a.FlightDigest != b.FlightDigest {
-			t.Errorf("seed %d: churn replay diverged: digest %016x vs %016x",
-				s, a.Digest, b.Digest)
-		}
+		parity(t, s, []int{0, 0}, runChurn)
 	}
 }
 
@@ -71,55 +30,8 @@ func TestChurnReplayDeterminism(t *testing.T) {
 // timer cancellation, and telemetry retirement may not depend on worker
 // count.
 func TestChurnWorkerParity(t *testing.T) {
-	seeds := int64(15)
-	if testing.Short() {
-		seeds = 4
-	}
-	first := int64(1)
-	if *flagSeed >= 0 {
-		first, seeds = *flagSeed, 1
-	}
-	for s := first; s < first+seeds; s++ {
-		one, err := RunChurn(ChurnOptions{Seed: s, Workers: 1})
-		if err != nil {
-			t.Fatalf("seed %d workers=1: harness error: %v", s, err)
-		}
-		four, err := RunChurn(ChurnOptions{Seed: s, Workers: 4})
-		if err != nil {
-			t.Fatalf("seed %d workers=4: harness error: %v", s, err)
-		}
-		for _, r := range []*ChurnResult{one, four} {
-			if r.Failed() {
-				churnFailArtifact(r)
-				t.Errorf("seed %d workers=%d: lifecycle violation — replay with: go test ./internal/simtest -seed %d -run TestChurnWorkerParity\n%s",
-					s, r.Workers, s, r)
-			}
-		}
-		if one.ScheduleDigest != four.ScheduleDigest {
-			churnFailArtifact(four)
-			t.Errorf("seed %d: churn event-schedule digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.ScheduleDigest, four.ScheduleDigest)
-		}
-		if one.Digest != four.Digest {
-			churnFailArtifact(four)
-			t.Errorf("seed %d: churn digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.Digest, four.Digest)
-		}
-		if one.TelemetryDigest != four.TelemetryDigest {
-			t.Errorf("seed %d: telemetry digest diverged under churn: workers=1 %016x, workers=4 %016x",
-				s, one.TelemetryDigest, four.TelemetryDigest)
-		}
-		if one.FlightDigest != four.FlightDigest {
-			t.Errorf("seed %d: flight digest diverged under churn: workers=1 %016x, workers=4 %016x",
-				s, one.FlightDigest, four.FlightDigest)
-		}
-		if one.Telemetry != four.Telemetry {
-			t.Errorf("seed %d: churn telemetry JSON not byte-identical (lens %d vs %d)",
-				s, len(one.Telemetry), len(four.Telemetry))
-		}
-		if testing.Verbose() {
-			t.Logf("seed %d: nodes=%d digest=%016x schedule=%016x",
-				s, one.Nodes, one.Digest, one.ScheduleDigest)
-		}
+	first, n := sweep(15, 4)
+	for s := first; s < first+n; s++ {
+		parity(t, s, []int{1, 4}, runChurn)
 	}
 }

@@ -50,12 +50,37 @@ func genTopology(rng *sim.RNG, n int) []genLink {
 	return links
 }
 
+// genSubstrate builds a seeded physical substrate on the world: nodes
+// n0..n<n-1> at 192.168.<octet>.x, a genTopology link set of 1 Gb/s
+// links with 1..maxDelayMs ms delays, and substrate routes.
+func (w *world) genSubstrate(n int, octet byte, maxDelayMs int) ([]string, []genLink, error) {
+	prof := netem.DETERProfile()
+	nodes := make([]string, n)
+	for i := range nodes {
+		nodes[i] = fmt.Sprintf("n%d", i)
+		addr := netip.AddrFrom4([4]byte{192, 168, octet + byte(i/200), byte(1 + i%200)})
+		if _, err := w.vini.AddNode(nodes[i], addr, prof, sched.Options{}); err != nil {
+			return nil, nil, err
+		}
+	}
+	links := genTopology(w.rng, n)
+	for _, l := range links {
+		if _, err := w.vini.AddLink(netem.LinkConfig{
+			A: nodes[l.a], B: nodes[l.b],
+			Bandwidth: 1e9, Delay: time.Duration(1+w.rng.Intn(maxDelayMs)) * time.Millisecond,
+		}); err != nil {
+			return nil, nil, err
+		}
+	}
+	w.vini.ComputeRoutes()
+	return nodes, links, nil
+}
+
 // scenario is one generated world: substrate, slice, mirrors of every
 // virtual link, and per-node delivery counters for the traffic probes.
 type scenario struct {
+	*world
 	opts  Options
-	rng   *sim.RNG
-	vini  *core.VINI
 	slice *core.Slice
 	nodes []string
 	vnode []*core.VirtualNode
@@ -65,6 +90,8 @@ type scenario struct {
 	crashed []bool
 	// withRIP runs RIP alongside OSPF, enabling route-flip events.
 	withRIP bool
+	// window is the quiescence settle window in 1s steps.
+	window int
 	// addrOwner maps every virtual interface and tap address to the
 	// owning node index, for next-hop graph walks.
 	addrOwner map[netip.Addr]int
@@ -79,43 +106,14 @@ type scenario struct {
 // comes from a single RNG stream, so construction order is the replay
 // discipline: never reorder these calls without a compatibility note.
 func buildScenario(opts Options) (*scenario, error) {
-	rng := sim.NewRNG(opts.Seed)
-	n := opts.MinNodes + rng.Intn(opts.MaxNodes-opts.MinNodes+1)
-	vini := core.New(opts.Seed)
-	if opts.Workers > 0 {
-		vini = core.NewParallel(opts.Seed, opts.Workers)
+	sc := &scenario{opts: opts, addrOwner: make(map[netip.Addr]int), res: &Result{}}
+	sc.world = newWorld(opts.Seed, opts.Workers, &sc.res.Report)
+	n := opts.MinNodes + sc.rng.Intn(opts.MaxNodes-opts.MinNodes+1)
+	sc.crashed, sc.delivered = make([]bool, n), make([]int, n)
+	var err error
+	if sc.nodes, sc.links, err = sc.genSubstrate(n, 1, 10); err != nil {
+		return nil, err
 	}
-	// Telemetry runs in every scenario so the worker-parity property
-	// also pins the metrics registry and flight recorder byte-for-byte.
-	vini.EnableTelemetry()
-	sc := &scenario{
-		opts:      opts,
-		rng:       rng,
-		vini:      vini,
-		crashed:   make([]bool, n),
-		addrOwner: make(map[netip.Addr]int),
-		delivered: make([]int, n),
-		res:       &Result{Seed: opts.Seed, Workers: opts.Workers},
-	}
-	prof := netem.DETERProfile()
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("n%d", i)
-		sc.nodes = append(sc.nodes, name)
-		addr := netip.AddrFrom4([4]byte{192, 168, byte(1 + i/200), byte(1 + i%200)})
-		if _, err := sc.vini.AddNode(name, addr, prof, sched.Options{}); err != nil {
-			return nil, err
-		}
-	}
-	sc.links = genTopology(rng, n)
-	for _, l := range sc.links {
-		if _, err := sc.vini.AddLink(netem.LinkConfig{
-			A: sc.nodes[l.a], B: sc.nodes[l.b],
-			Bandwidth: 1e9, Delay: time.Duration(1+rng.Intn(10)) * time.Millisecond,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	sc.vini.ComputeRoutes()
 
 	s, err := sc.vini.CreateSlice(core.SliceConfig{Name: "simtest", CPUShare: 1.0})
 	if err != nil {
@@ -149,9 +147,15 @@ func buildScenario(opts Options) (*scenario, error) {
 			return nil, err
 		}
 	}
-	sc.withRIP = rng.Bool(0.4)
+	sc.withRIP = sc.rng.Bool(0.4)
+	// RIP only notices a dead route when its Timeout (6 updates = 30s at
+	// the 5s period) expires, and until then the FIB can sit on a stale
+	// plateau that looks converged — so scenarios running RIP must
+	// demand a stability window longer than that plateau.
+	sc.window = 5
 	s.StartOSPF(time.Second, 3*time.Second)
 	if sc.withRIP {
+		sc.window = 36
 		s.StartRIP(5 * time.Second)
 	}
 	sc.res.Nodes, sc.res.Links, sc.res.WithRIP = n, len(sc.links), sc.withRIP

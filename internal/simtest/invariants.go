@@ -7,7 +7,6 @@ import (
 
 	"vini/internal/core"
 	"vini/internal/fib"
-	"vini/internal/packet"
 )
 
 // LookupIPRoute output ports in the generated IIAS configuration (see
@@ -169,19 +168,6 @@ func compareRoutes(proto, rib []fib.Route) error {
 			return fmt.Errorf("RIB holds %v which the protocol did not emit", r)
 		}
 		seen[key(r)]--
-	}
-	return nil
-}
-
-// checkConservation runs invariant 3: relative to the scenario's
-// baseline, every pooled packet obtained from the pool has been
-// released or escaped — a non-zero residue is a leak (or a double
-// hand-off) somewhere in the data plane.
-func checkConservation(baseline packet.PoolStats, where string) []string {
-	d := packet.Stats().Sub(baseline)
-	if n := d.InFlight(); n != 0 {
-		return []string{fmt.Sprintf("packet conservation at %s: %d pooled packets unaccounted (gets=%d releases=%d escapes=%d)",
-			where, n, d.Gets, d.Releases, d.Escapes)}
 	}
 	return nil
 }

@@ -3,15 +3,11 @@ package simtest
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"time"
 
 	"vini/internal/core"
-	"vini/internal/netem"
 	"vini/internal/packet"
-	"vini/internal/sched"
-	"vini/internal/sim"
 	"vini/internal/telemetry"
 )
 
@@ -39,50 +35,30 @@ type MigrateOptions struct {
 // MigrateResult is everything one migration scenario produced. Every
 // probe is painted with its round number and tracked per (destination,
 // sequence), so loss and duplication are attributable to the exact
-// in-flight packet, not just aggregate counters.
+// in-flight packet, not just aggregate counters. Its Digest folds every
+// per-round observation (op, migration phase, clone counts, probe
+// ledger, FIB fingerprints).
 type MigrateResult struct {
-	Seed    int64
-	Workers int
-	Rounds  int
-	Nodes   int
+	Report
+	Rounds int
+	Nodes  int
 	// Sent/Delivered/Duplicates aggregate the painted-probe ledger:
 	// Delivered counts probes that arrived at least once, Duplicates
 	// those that arrived more than once (must be 0).
 	Sent, Delivered, Duplicates int
-	Log                         []string
-	Violations                  []string
-	// Digest folds every per-round observation (op, migration phase,
-	// clone counts, probe ledger, FIB fingerprints); the remaining
-	// digests carry the same worker-parity obligations as in Result.
-	Digest          uint64
-	ScheduleDigest  uint64
-	TelemetryDigest uint64
-	FlightDigest    uint64
-	Telemetry       string
 }
 
-// Failed reports whether any migration invariant was violated.
-func (r *MigrateResult) Failed() bool { return len(r.Violations) > 0 }
-
 func (r *MigrateResult) String() string {
-	s := fmt.Sprintf("migrate seed=%d workers=%d rounds=%d nodes=%d sent=%d delivered=%d dups=%d digest=%016x",
-		r.Seed, r.Workers, r.Rounds, r.Nodes, r.Sent, r.Delivered, r.Duplicates, r.Digest)
-	for _, l := range r.Log {
-		s += "\n  " + l
-	}
-	for _, v := range r.Violations {
-		s += "\n  VIOLATION: " + v
-	}
-	return s
+	return r.render(fmt.Sprintf("migrate seed=%d workers=%d rounds=%d nodes=%d sent=%d delivered=%d dups=%d digest=%016x",
+		r.Seed, r.Workers, r.Rounds, r.Nodes, r.Sent, r.Delivered, r.Duplicates, r.Digest))
 }
 
 // migWorld is one generated migration scenario: the substrate, the
 // slice under test, the rotating spare node, and the painted-probe
 // delivery ledger.
 type migWorld struct {
+	*world
 	opts     MigrateOptions
-	rng      *sim.RNG
-	vini     *core.VINI
 	slice    *core.Slice
 	name     string // current slice name (changes across destroy/rebuild)
 	nodes    []string
@@ -110,47 +86,25 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 	if opts.Rounds == 0 {
 		opts.Rounds = 4
 	}
-	rng := sim.NewRNG(opts.Seed)
-	n := 4 + rng.Intn(3)
-	vini := core.New(opts.Seed)
-	if opts.Workers > 0 {
-		vini = core.NewParallel(opts.Seed, opts.Workers)
+	w := &migWorld{opts: opts, res: &MigrateResult{Rounds: opts.Rounds}}
+	w.world = newWorld(opts.Seed, opts.Workers, &w.res.Report)
+	defer w.vini.Close()
+	n := 4 + w.rng.Intn(3)
+	w.res.Nodes = n
+	var err error
+	if w.nodes, w.subLinks, err = w.genSubstrate(n, 3, 5); err != nil {
+		return nil, err
 	}
-	vini.EnableTelemetry()
-	w := &migWorld{
-		opts: opts, rng: rng, vini: vini,
-		delivered: make([]map[string]uint32, n),
-		res: &MigrateResult{Seed: opts.Seed, Workers: opts.Workers,
-			Rounds: opts.Rounds, Nodes: n},
-	}
-	prof := netem.DETERProfile()
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("n%d", i)
-		w.nodes = append(w.nodes, name)
-		addr := netip.AddrFrom4([4]byte{192, 168, 3, byte(1 + i)})
-		if _, err := vini.AddNode(name, addr, prof, sched.Options{}); err != nil {
-			return nil, err
-		}
-	}
-	w.subLinks = genTopology(rng, n)
-	for _, l := range w.subLinks {
-		if _, err := vini.AddLink(netem.LinkConfig{
-			A: w.nodes[l.a], B: w.nodes[l.b],
-			Bandwidth: 1e9, Delay: time.Duration(1+rng.Intn(5)) * time.Millisecond,
-		}); err != nil {
-			return nil, err
-		}
-	}
-	vini.ComputeRoutes()
 	w.members = append([]string(nil), w.nodes[:n-1]...)
 	w.spare = w.nodes[n-1]
-	w.vlinks = genTopology(rng, n-1)
+	w.vlinks = genTopology(w.rng, n-1)
 	// Every physical node — including the spare — listens for painted
 	// probes, so a duplicate surfacing anywhere is counted.
+	w.delivered = make([]map[string]uint32, n)
 	for i, name := range w.nodes {
 		w.delivered[i] = make(map[string]uint32)
 		ledger := w.delivered[i]
-		node, _ := vini.Net.Node(name)
+		node, _ := w.vini.Net.Node(name)
 		if err := node.StackListenUDP(migProbePort, func(d []byte) {
 			if k, ok := probeKey(d); ok {
 				ledger[k]++
@@ -160,26 +114,17 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 		}
 	}
 
-	baseline := packet.Stats()
 	if err := w.buildSlice("mig0"); err != nil {
 		return nil, err
 	}
-	w.stable()
-
-	digest := fnv.New64a()
-	fold := func(format string, args ...any) {
-		fmt.Fprintf(digest, format+"\n", args...)
-	}
-	note := func(format string, args ...any) {
-		w.res.Log = append(w.res.Log, fmt.Sprintf(format, args...))
-	}
+	w.stable("initial convergence")
 
 	for round := 0; round < opts.Rounds; round++ {
 		// Round 0 is always a clean migration so every seed exercises
 		// the double-delivery window (and the sabotage arm has a target).
 		op := 0
 		if round > 0 {
-			switch d := rng.Intn(8); {
+			switch d := w.rng.Intn(8); {
 			case d < 4:
 				op = 0
 			case d < 6:
@@ -194,19 +139,19 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 		var line string
 		switch op {
 		case 0:
-			line, err = w.roundMigrate(round, baseline, false, fold)
+			line, err = w.roundMigrate(round, false)
 		case 1:
-			line, err = w.roundMigrate(round, baseline, true, fold)
+			line, err = w.roundMigrate(round, true)
 		case 2:
-			line, err = w.roundPauseAbort(round, baseline, fold)
+			line, err = w.roundPauseAbort(round)
 		case 3:
-			line, err = w.roundPauseDestroy(round, baseline, fold)
+			line, err = w.roundPauseDestroy(round)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("seed %d round %d: %w", opts.Seed, round, err)
 		}
-		note("round %d: %s", round, line)
-		fold("round %d %s fib=%016x", round, line, w.fingerprint())
+		w.note("round %d: %s", round, line)
+		w.fold("round %d %s fib=%016x", round, line, w.fingerprint())
 	}
 
 	// Final teardown: the substrate must come out exactly as clean as it
@@ -217,29 +162,11 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 	if err := w.slice.Audit(); err != nil {
 		w.violate("final audit: %v", err)
 	}
-	loop := vini.Loop()
-	vini.Run(loop.Now() + 3*time.Second)
-	for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-		vini.Run(loop.Now() + 50*time.Millisecond)
+	w.vini.Run(w.loop.Now() + 3*time.Second)
+	w.teardown("final teardown")
+	if err := w.finish(); err != nil {
+		return nil, err
 	}
-	w.res.Violations = append(w.res.Violations, checkConservation(baseline, "final teardown")...)
-	if p := loop.Pending(); p != 0 {
-		w.violate("%d events still pending after final teardown (orphaned migration timers)", p)
-	}
-
-	for _, v := range w.res.Violations {
-		fold("violation %s", v)
-	}
-	w.res.Digest = digest.Sum64()
-	w.res.ScheduleDigest = vini.Executor().ScheduleDigest()
-	if tel := vini.Telemetry(); tel != nil {
-		w.res.TelemetryDigest = tel.Reg.Digest()
-		w.res.FlightDigest = tel.Rec.Digest()
-		if js, err := tel.SnapshotJSON(); err == nil {
-			w.res.Telemetry = string(js)
-		}
-	}
-	vini.Close()
 	return w.res, nil
 }
 
@@ -249,8 +176,7 @@ func RunMigrate(opts MigrateOptions) (*MigrateResult, error) {
 // link fails mid-window and restores after the retirement — loss is
 // then legitimate (packets die on the dead physical link) but
 // duplicates and ledger imbalance still are not.
-func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
-	fold func(string, ...any)) (string, error) {
+func (w *migWorld) roundMigrate(round int, flap bool) (string, error) {
 	victimIdx := w.rng.Intn(len(w.members))
 	victim := w.members[victimIdx]
 	target := w.spare
@@ -259,7 +185,7 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 	for i := 0; i < 3; i++ {
 		w.step(&keys, "", paint)
 	}
-	migStart := w.vini.Loop().Now()
+	migStart := w.loop.Now()
 	m, err := w.slice.Migrate(victim, target, core.MigrateOptions{
 		Window: 800 * time.Millisecond, Drain: 400 * time.Millisecond})
 	if err != nil {
@@ -279,7 +205,7 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 		}
 		w.step(&keys, victim, paint)
 	}
-	w.vini.Run(w.vini.Loop().Now() + 2*time.Second)
+	w.vini.Run(w.loop.Now() + 2*time.Second)
 	if m.Phase() != core.MigDone {
 		w.violate("round %d: migration %s->%s stuck in %s", round, victim, target, m.Phase())
 	}
@@ -297,7 +223,7 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 	w.tap[target] = w.tap[victim]
 	delete(w.tap, victim)
 	w.spare = victim
-	w.stable()
+	w.stable(fmt.Sprintf("round %d", round))
 	// Bounded control-plane disruption: a clean migration transplants
 	// OSPF state, so no neighbor FSM transition may occur anywhere.
 	if !flap {
@@ -306,7 +232,7 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 				round, nev)
 		}
 	}
-	w.checkRound(round, baseline, keys, !flap)
+	w.checkRound(round, keys, !flap)
 	if err := w.slice.Audit(); err != nil {
 		w.violate("round %d: audit: %v", round, err)
 	}
@@ -314,7 +240,7 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 	if flap {
 		op = "migrate+flap"
 	}
-	fold("%s %s->%s clones=%d drops=%d", op, victim, target, clones, drops)
+	w.fold("%s %s->%s clones=%d drops=%d", op, victim, target, clones, drops)
 	return fmt.Sprintf("%s %s->%s probes=%d clones=%d", op, victim, target, len(keys), clones), nil
 }
 
@@ -322,8 +248,7 @@ func (w *migWorld) roundMigrate(round int, baseline packet.PoolStats, flap bool,
 // migration must abort, the shadow's handles must all drop, and after
 // Resume the old instance must still forward with exactly-once
 // delivery.
-func (w *migWorld) roundPauseAbort(round int, baseline packet.PoolStats,
-	fold func(string, ...any)) (string, error) {
+func (w *migWorld) roundPauseAbort(round int) (string, error) {
 	victim := w.members[w.rng.Intn(len(w.members))]
 	target := w.spare
 	var keys []string
@@ -339,7 +264,7 @@ func (w *migWorld) roundPauseAbort(round int, baseline packet.PoolStats,
 	for i := 0; i < 4; i++ {
 		w.step(&keys, victim, paint)
 	}
-	w.vini.Run(w.vini.Loop().Now() + time.Second) // drain in-flight probes
+	w.vini.Run(w.loop.Now() + time.Second) // drain in-flight probes
 	if err := w.slice.Pause(); err != nil {
 		w.violate("round %d: pause mid-migration: %v", round, err)
 	}
@@ -352,19 +277,19 @@ func (w *migWorld) roundPauseAbort(round int, baseline packet.PoolStats,
 	if err := w.slice.Audit(); err != nil {
 		w.violate("round %d: audit after abort: %v", round, err)
 	}
-	w.vini.Run(w.vini.Loop().Now() + time.Second)
+	w.vini.Run(w.loop.Now() + time.Second)
 	if err := w.slice.Resume(); err != nil {
 		w.violate("round %d: resume after abort: %v", round, err)
 	}
-	w.stable()
+	w.stable(fmt.Sprintf("round %d", round))
 	for i := 0; i < 4; i++ {
 		w.step(&keys, "", paint)
 	}
 	// The stale cutover timer (scheduled for the 5s window) must be
 	// inert; run past it before judging the ledger.
-	w.vini.Run(w.vini.Loop().Now() + 6*time.Second)
-	w.checkRound(round, baseline, keys, true)
-	fold("pause-abort %s->%s", victim, target)
+	w.vini.Run(w.loop.Now() + 6*time.Second)
+	w.checkRound(round, keys, true)
+	w.fold("pause-abort %s->%s", victim, target)
 	return fmt.Sprintf("pause-abort %s->%s probes=%d", victim, target, len(keys)), nil
 }
 
@@ -372,8 +297,7 @@ func (w *migWorld) roundPauseAbort(round int, baseline packet.PoolStats,
 // slice whose migration was aborted by the pause must release every
 // shadow handle, retire every telemetry series, and leave no orphaned
 // timers; the arm then rebuilds the slice so later rounds keep running.
-func (w *migWorld) roundPauseDestroy(round int, baseline packet.PoolStats,
-	fold func(string, ...any)) (string, error) {
+func (w *migWorld) roundPauseDestroy(round int) (string, error) {
 	victim := w.members[w.rng.Intn(len(w.members))]
 	target := w.spare
 	var keys []string
@@ -389,7 +313,7 @@ func (w *migWorld) roundPauseDestroy(round int, baseline packet.PoolStats,
 	for i := 0; i < 3; i++ {
 		w.step(&keys, victim, paint)
 	}
-	w.vini.Run(w.vini.Loop().Now() + time.Second) // drain in-flight probes
+	w.vini.Run(w.loop.Now() + time.Second) // drain in-flight probes
 	if err := w.slice.Pause(); err != nil {
 		w.violate("round %d: pause mid-migration: %v", round, err)
 	}
@@ -406,28 +330,18 @@ func (w *migWorld) roundPauseDestroy(round int, baseline packet.PoolStats,
 	if node, ok := w.vini.Net.Node(target); ok && node.HasAddr(w.tap[victim]) {
 		w.violate("round %d: destroyed shadow still answers for %v on %s", round, w.tap[victim], target)
 	}
-	if tel := w.vini.Telemetry(); tel != nil {
-		if live := tel.Reg.Series(oldName); live != 0 {
-			w.violate("round %d: %d telemetry series survive destroyed slice %s", round, live, oldName)
-		}
+	if live := w.vini.Telemetry().Reg.Series(oldName); live != 0 {
+		w.violate("round %d: %d telemetry series survive destroyed slice %s", round, live, oldName)
 	}
-	loop := w.vini.Loop()
-	w.vini.Run(loop.Now() + 6*time.Second) // past the stale cutover timer
-	for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-		w.vini.Run(loop.Now() + 50*time.Millisecond)
-	}
-	w.res.Violations = append(w.res.Violations,
-		checkConservation(baseline, fmt.Sprintf("round %d destroy", round))...)
-	if p := loop.Pending(); p != 0 {
-		w.violate("round %d: %d events pending after mid-migration destroy (orphaned timers)", round, p)
-	}
+	w.vini.Run(w.loop.Now() + 6*time.Second) // past the stale cutover timer
+	w.teardown(fmt.Sprintf("round %d destroy", round))
 	// Rebuild on the same members so later rounds have a slice to move.
 	if err := w.buildSlice(fmt.Sprintf("mig%d", round+1)); err != nil {
 		return "", err
 	}
-	w.stable()
-	w.checkRound(round, baseline, keys, true)
-	fold("pause-destroy %s->%s rebuilt=%s", victim, target, w.name)
+	w.stable(fmt.Sprintf("round %d", round))
+	w.checkRound(round, keys, true)
+	w.fold("pause-destroy %s->%s rebuilt=%s", victim, target, w.name)
 	return fmt.Sprintf("pause-destroy %s->%s probes=%d rebuilt=%s", victim, target, len(keys), w.name), nil
 }
 
@@ -482,7 +396,7 @@ func (w *migWorld) step(keys *[]string, victim string, paint byte) {
 		si := avoid(w.rng.Intn(len(w.members)))
 		w.send(w.members[si], w.tap[victim], keys, paint)
 	}
-	w.vini.Run(w.vini.Loop().Now() + 100*time.Millisecond)
+	w.vini.Run(w.loop.Now() + 100*time.Millisecond)
 }
 
 // send paints and injects one probe from src's kernel stack into the
@@ -528,13 +442,8 @@ func (w *migWorld) deliveries(k string) uint32 {
 
 // checkRound settles the pool ledger and then judges this round's
 // painted probes: exactly-once when lossless, at-most-once always.
-func (w *migWorld) checkRound(round int, baseline packet.PoolStats, keys []string, lossless bool) {
-	loop := w.vini.Loop()
-	for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-		w.vini.Run(loop.Now() + 50*time.Millisecond)
-	}
-	w.res.Violations = append(w.res.Violations,
-		checkConservation(baseline, fmt.Sprintf("round %d", round))...)
+func (w *migWorld) checkRound(round int, keys []string, lossless bool) {
+	w.settle(fmt.Sprintf("round %d", round))
 	losses, dups := 0, 0
 	for _, k := range keys {
 		switch c := w.deliveries(k); {
@@ -567,8 +476,8 @@ func (w *migWorld) checkRound(round int, baseline packet.PoolStats, keys []strin
 }
 
 // stable runs the loop until every member FIB's contents stop changing.
-func (w *migWorld) stable() {
-	w.vini.Loop().RunUntilStable(time.Second, 120*time.Second, 5, w.fingerprint)
+func (w *migWorld) stable(phase string) {
+	w.quiesce(phase, w.fingerprint, 120*time.Second, 5)
 }
 
 // fingerprint hashes the FIBs of the current members, in member order.
@@ -586,19 +495,11 @@ func (w *migWorld) fingerprint() uint64 {
 // or after the given instant — the convergence-timeline measure of
 // control-plane disruption.
 func (w *migWorld) neighborEventsSince(since time.Duration) int {
-	tel := w.vini.Telemetry()
-	if tel == nil {
-		return 0
-	}
 	n := 0
-	for _, ev := range tel.Rec.Events() {
+	for _, ev := range w.vini.Telemetry().Rec.Events() {
 		if ev.Kind == telemetry.EvNeighbor && ev.At >= since {
 			n++
 		}
 	}
 	return n
-}
-
-func (w *migWorld) violate(format string, args ...any) {
-	w.res.Violations = append(w.res.Violations, fmt.Sprintf(format, args...))
 }

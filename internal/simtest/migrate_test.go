@@ -1,24 +1,12 @@
 package simtest
 
 import (
-	"fmt"
-	"os"
 	"strings"
 	"testing"
 )
 
-// migrateFailArtifact mirrors failArtifact for migration results.
-func migrateFailArtifact(r *MigrateResult) {
-	path := os.Getenv("SIMTEST_FAIL_FILE")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%s\n", r)
+func runMigrate(seed int64, workers int) (*MigrateResult, error) {
+	return RunMigrate(MigrateOptions{Seed: seed, Workers: workers})
 }
 
 // TestMigrateLossless is the headline migration property: across seeded
@@ -29,29 +17,15 @@ func migrateFailArtifact(r *MigrateResult) {
 // byte-identical digests for 1-worker and 4-worker sharded execution.
 // CI runs it under -race at GOMAXPROCS 1 and 4.
 func TestMigrateLossless(t *testing.T) {
-	seeds := int64(15)
-	if testing.Short() {
-		seeds = 4
-	}
-	first := int64(1)
-	if *flagSeed >= 0 {
-		first, seeds = *flagSeed, 1
-	}
-	for s := first; s < first+seeds; s++ {
-		one, err := RunMigrate(MigrateOptions{Seed: s, Workers: 1})
-		if err != nil {
-			t.Fatalf("seed %d workers=1: harness error: %v", s, err)
+	first, n := sweep(15, 4)
+	for s := first; s < first+n; s++ {
+		// 1/2/4 parity; the 2-worker leg on the first seeds only keeps
+		// the full sweep affordable.
+		workers := []int{1, 4}
+		if s < first+2 {
+			workers = []int{1, 2, 4}
 		}
-		four, err := RunMigrate(MigrateOptions{Seed: s, Workers: 4})
-		if err != nil {
-			t.Fatalf("seed %d workers=4: harness error: %v", s, err)
-		}
-		for _, r := range []*MigrateResult{one, four} {
-			if r.Failed() {
-				migrateFailArtifact(r)
-				t.Errorf("seed %d workers=%d: migration violation — replay with: go test ./internal/simtest -seed %d -run TestMigrateLossless\n%s",
-					s, r.Workers, s, r)
-			}
+		for _, r := range parity(t, s, workers, runMigrate) {
 			if r.Sent == 0 || r.Delivered == 0 {
 				t.Errorf("seed %d workers=%d: vacuous run (sent=%d delivered=%d)",
 					s, r.Workers, r.Sent, r.Delivered)
@@ -60,68 +34,15 @@ func TestMigrateLossless(t *testing.T) {
 				t.Errorf("seed %d workers=%d: %d duplicate deliveries", s, r.Workers, r.Duplicates)
 			}
 		}
-		if one.ScheduleDigest != four.ScheduleDigest {
-			migrateFailArtifact(four)
-			t.Errorf("seed %d: event-schedule digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.ScheduleDigest, four.ScheduleDigest)
-		}
-		if one.Digest != four.Digest {
-			migrateFailArtifact(four)
-			t.Errorf("seed %d: migration digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.Digest, four.Digest)
-		}
-		if one.TelemetryDigest != four.TelemetryDigest {
-			t.Errorf("seed %d: telemetry digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.TelemetryDigest, four.TelemetryDigest)
-		}
-		if one.FlightDigest != four.FlightDigest {
-			t.Errorf("seed %d: flight digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.FlightDigest, four.FlightDigest)
-		}
-		if one.Telemetry != four.Telemetry {
-			t.Errorf("seed %d: telemetry JSON not byte-identical (lens %d vs %d)",
-				s, len(one.Telemetry), len(four.Telemetry))
-		}
-		// The tentpole demands 1/2/4 parity; a 2-worker spot check on the
-		// first seeds keeps the full sweep affordable.
-		if s < first+2 {
-			two, err := RunMigrate(MigrateOptions{Seed: s, Workers: 2})
-			if err != nil {
-				t.Fatalf("seed %d workers=2: harness error: %v", s, err)
-			}
-			if two.Digest != one.Digest || two.ScheduleDigest != one.ScheduleDigest {
-				t.Errorf("seed %d: 2-worker run diverged: digest %016x vs %016x",
-					s, two.Digest, one.Digest)
-			}
-		}
-		if testing.Verbose() {
-			t.Logf("seed %d: nodes=%d sent=%d delivered=%d digest=%016x",
-				s, one.Nodes, one.Sent, one.Delivered, one.Digest)
-		}
 	}
 }
 
 // TestMigrateClassic runs the regime on the classic single-timeline
 // engine (Workers=0), a different deterministic baseline.
 func TestMigrateClassic(t *testing.T) {
-	seeds := int64(6)
-	if testing.Short() {
-		seeds = 2
-	}
-	first := int64(1)
-	if *flagSeed >= 0 {
-		first, seeds = *flagSeed, 1
-	}
-	for s := first; s < first+seeds; s++ {
-		r, err := RunMigrate(MigrateOptions{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", s, err)
-		}
-		if r.Failed() {
-			migrateFailArtifact(r)
-			t.Errorf("seed %d: migration violation — replay with: go test ./internal/simtest -seed %d -run TestMigrateClassic\n%s",
-				s, s, r)
-		}
+	first, n := sweep(6, 2)
+	for s := first; s < first+n; s++ {
+		run(t, s, 0, runMigrate)
 	}
 }
 
@@ -129,19 +50,7 @@ func TestMigrateClassic(t *testing.T) {
 // match in every digest.
 func TestMigrateReplayDeterminism(t *testing.T) {
 	for s := int64(1); s <= 3; s++ {
-		a, err := RunMigrate(MigrateOptions{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		b, err := RunMigrate(MigrateOptions{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		if a.Digest != b.Digest || a.TelemetryDigest != b.TelemetryDigest ||
-			a.FlightDigest != b.FlightDigest {
-			t.Errorf("seed %d: migration replay diverged: digest %016x vs %016x",
-				s, a.Digest, b.Digest)
-		}
+		parity(t, s, []int{0, 0}, runMigrate)
 	}
 }
 

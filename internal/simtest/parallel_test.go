@@ -1,100 +1,31 @@
 package simtest
 
-import (
-	"fmt"
-	"testing"
-)
-
-// paritySeeds is how many seeds the worker-parity property explores
-// (each seed runs the full scenario twice, so this test dominates the
-// package's runtime).
-const paritySeeds = 25
+import "testing"
 
 // TestWorkerParity is the parallel-executor property test: for each
 // seed, running the sharded engine with 1 worker and with 4 workers
-// must produce byte-identical results — the same scenario digest, the
-// same executed event schedule (every fired event's merge key, in
-// order), and the same quiescent FIB fingerprints. Any divergence is a
-// synchronization bug: a message delivered across a horizon, a racy
-// RNG draw, or state shared between domains.
+// must produce the same digest bundle — the same scenario digest
+// (which folds every quiescent FIB fingerprint), the same executed
+// event schedule (every fired event's merge key, in order), and the
+// same telemetry. The parity seeds each run the full scenario twice,
+// so this test dominates the package's runtime.
 func TestWorkerParity(t *testing.T) {
-	seeds := int64(paritySeeds)
-	if testing.Short() {
-		seeds = 6
-	}
-	first := int64(1)
-	if *flagSeed >= 0 {
-		first, seeds = *flagSeed, 1
-	}
-	for s := first; s < first+seeds; s++ {
-		one, err := Run(Options{Seed: s, Workers: 1})
-		if err != nil {
-			t.Fatalf("seed %d workers=1: harness error: %v", s, err)
-		}
-		four, err := Run(Options{Seed: s, Workers: 4})
-		if err != nil {
-			t.Fatalf("seed %d workers=4: harness error: %v", s, err)
-		}
-		for _, r := range []*Result{one, four} {
-			if r.Failed() {
-				failArtifact(r)
-				t.Errorf("seed %d workers=%d: invariant violation — replay with: go test ./internal/simtest -seed %d -run TestWorkerParity\n%s",
-					s, r.Workers, s, r)
-			}
-		}
-		if one.ScheduleDigest != four.ScheduleDigest {
-			failArtifact(four)
-			t.Errorf("seed %d: event-schedule digest diverged: workers=1 %016x, workers=4 %016x — replay with: go test ./internal/simtest -seed %d -run TestWorkerParity",
-				s, one.ScheduleDigest, four.ScheduleDigest, s)
-		}
-		if one.Digest != four.Digest {
-			failArtifact(four)
-			t.Errorf("seed %d: scenario digest diverged: workers=1 %016x, workers=4 %016x",
-				s, one.Digest, four.Digest)
-		}
-		if fmt.Sprint(one.FIBDigests) != fmt.Sprint(four.FIBDigests) {
-			t.Errorf("seed %d: quiescent FIB fingerprints diverged:\nworkers=1: %016x\nworkers=4: %016x",
-				s, one.FIBDigests, four.FIBDigests)
-		}
-		if one.TelemetryDigest != four.TelemetryDigest {
-			failArtifact(four)
-			t.Errorf("seed %d: telemetry metrics digest diverged: workers=1 %016x, workers=4 %016x — a counter was written from more than one domain, or registration happened mid-run",
-				s, one.TelemetryDigest, four.TelemetryDigest)
-		}
-		if one.FlightDigest != four.FlightDigest {
-			failArtifact(four)
-			t.Errorf("seed %d: flight-recorder digest diverged: workers=1 %016x, workers=4 %016x — an event was recorded into a domain its writer does not own",
-				s, one.FlightDigest, four.FlightDigest)
-		}
-		if one.Telemetry != four.Telemetry {
-			t.Errorf("seed %d: telemetry JSON snapshots are not byte-identical (lens %d vs %d)",
-				s, len(one.Telemetry), len(four.Telemetry))
-		}
+	first, n := sweep(25, 6)
+	for s := first; s < first+n; s++ {
+		r := parity(t, s, []int{1, 4}, runScenario)[0]
 		if testing.Verbose() {
 			t.Logf("seed %d: nodes=%d links=%d rip=%v schedule=%016x fibs=%d",
-				s, one.Nodes, one.Links, one.WithRIP, one.ScheduleDigest, len(one.FIBDigests))
+				s, r.Nodes, r.Links, r.WithRIP, r.ScheduleDigest, len(r.FIBDigests))
 		}
 	}
 }
 
-// TestShardedMatchesClassicInvariants: the sharded engine is a
-// different deterministic baseline (domain RNG streams fork per node),
-// so its digests differ from the classic loop's — but every invariant
-// the classic engine satisfies must hold there too, and replaying the
-// same sharded configuration must be exact.
+// TestShardedReplayDeterminism: the sharded engine is a different
+// deterministic baseline from the classic loop (domain RNG streams fork
+// per node), so replaying the same sharded configuration must be exact
+// in its own right.
 func TestShardedReplayDeterminism(t *testing.T) {
 	for s := int64(1); s <= 5; s++ {
-		a, err := Run(Options{Seed: s, Workers: 4})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		b, err := Run(Options{Seed: s, Workers: 4})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		if a.Digest != b.Digest || a.ScheduleDigest != b.ScheduleDigest {
-			t.Errorf("seed %d: sharded replay diverged: digest %016x vs %016x, schedule %016x vs %016x",
-				s, a.Digest, b.Digest, a.ScheduleDigest, b.ScheduleDigest)
-		}
+		parity(t, s, []int{4, 4}, runScenario)
 	}
 }

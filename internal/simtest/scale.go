@@ -11,13 +11,11 @@ package simtest
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"time"
 
 	"vini/internal/core"
 	"vini/internal/netem"
-	"vini/internal/packet"
 	"vini/internal/sched"
 	"vini/internal/sim"
 	"vini/internal/topology"
@@ -46,50 +44,29 @@ type ScaleOptions struct {
 	DemandsText string
 }
 
-// ScaleResult is everything one scale scenario produced.
+// ScaleResult is everything one scale scenario produced. Its Digest
+// folds every deterministic observation (embeddings, FIB fingerprints
+// per phase, traffic counts, violations).
 type ScaleResult struct {
-	Seed    int64
-	Workers int
-	Nodes   int
-	Links   int
-	Slices  int
-	VNodes  int
-	Flows   int
+	Report
+	Nodes  int
+	Links  int
+	Slices int
+	VNodes int
+	Flows  int
 	// Sent/Delivered count demand datagrams; OfferedBps the scaled load.
 	Sent       uint64
 	Delivered  uint64
 	OfferedBps float64
-	// Events counts fired executor events end to end.
-	Events     uint64
-	Log        []string
-	Violations []string
-	// Digest folds every deterministic observation (embeddings, FIB
-	// fingerprints per phase, traffic counts, violations); it and the
-	// other digests must be byte-identical across worker counts.
-	Digest          uint64
-	ScheduleDigest  uint64
-	TelemetryDigest uint64
-	FlightDigest    uint64
-	Telemetry       string
 	// BuildSeconds/RunSeconds split wall-clock spend (diagnostic only —
 	// never folded into digests).
 	BuildSeconds float64
 	RunSeconds   float64
 }
 
-// Failed reports whether any invariant was violated.
-func (r *ScaleResult) Failed() bool { return len(r.Violations) > 0 }
-
 func (r *ScaleResult) String() string {
-	s := fmt.Sprintf("scale seed=%d workers=%d nodes=%d slices=%d vnodes=%d flows=%d sent=%d delivered=%d events=%d digest=%016x",
-		r.Seed, r.Workers, r.Nodes, r.Slices, r.VNodes, r.Flows, r.Sent, r.Delivered, r.Events, r.Digest)
-	for _, l := range r.Log {
-		s += "\n  " + l
-	}
-	for _, v := range r.Violations {
-		s += "\n  VIOLATION: " + v
-	}
-	return s
+	return r.render(fmt.Sprintf("scale seed=%d workers=%d nodes=%d slices=%d vnodes=%d flows=%d sent=%d delivered=%d events=%d digest=%016x",
+		r.Seed, r.Workers, r.Nodes, r.Slices, r.VNodes, r.Flows, r.Sent, r.Delivered, r.Events, r.Digest))
 }
 
 // scaleSlice is one embedded slice and its invariant-checking state.
@@ -152,23 +129,10 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	}
 
 	buildStart := time.Now()
-	vini := core.New(opts.Seed)
-	if opts.Workers > 0 {
-		vini = core.NewParallel(opts.Seed, opts.Workers)
-	}
-	vini.EnableTelemetry()
-	res := &ScaleResult{Seed: opts.Seed, Workers: opts.Workers,
-		Nodes: len(names), Links: len(g.Links()), Slices: opts.Slices}
-	note := func(format string, args ...any) {
-		res.Log = append(res.Log, fmt.Sprintf(format, args...))
-	}
-	violate := func(format string, args ...any) {
-		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
-	}
-	digest := fnv.New64a()
-	fold := func(format string, args ...any) {
-		fmt.Fprintf(digest, format+"\n", args...)
-	}
+	res := &ScaleResult{Nodes: len(names), Links: len(g.Links()), Slices: opts.Slices}
+	w := newWorld(opts.Seed, opts.Workers, &res.Report)
+	defer w.vini.Close()
+	vini, loop := w.vini, w.loop
 
 	// Substrate: one physical node per topology node, REPETITA link
 	// parameters verbatim.
@@ -257,18 +221,16 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 			}
 		}
 		s.StartOSPF(2*time.Second, 6*time.Second)
-		fold("slice %s id=%d prefix=%s ports=%s hops=%v",
+		w.fold("slice %s id=%d prefix=%s ports=%s hops=%v",
 			name, s.ID(), s.Prefix(), s.PortRange(), hops)
 		slices = append(slices, ss)
 		res.VNodes += len(ss.vns)
 	}
-	note("embedded %d slices (%d vnodes) on %d nodes / %d links",
+	w.note("embedded %d slices (%d vnodes) on %d nodes / %d links",
 		len(slices), res.VNodes, res.Nodes, res.Links)
 	res.BuildSeconds = time.Since(buildStart).Seconds()
 
 	runStart := time.Now()
-	baseline := packet.Stats()
-	loop := vini.Loop()
 	allVN := make([]*core.VirtualNode, 0, res.VNodes)
 	for _, ss := range slices {
 		allVN = append(allVN, ss.vns...)
@@ -277,14 +239,10 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	// after a link flap nothing in any FIB moves until a dead timer
 	// fires, and declaring quiescence inside that silence would check
 	// invariants against pre-reconvergence state.
+	fingerprint := func() uint64 { return fibFingerprint(allVN) }
 	stable := func(phase string) {
-		took, ok := loop.RunUntilStable(time.Second, 240*time.Second, 8, func() uint64 {
-			return fibFingerprint(allVN)
-		})
-		if !ok {
-			violate("%s: FIBs did not quiesce within 240s", phase)
-		}
-		fold("%s stable took=%v fib=%016x", phase, took, fibFingerprint(allVN))
+		took, _ := w.quiesce(phase, fingerprint, 240*time.Second, 8)
+		w.fold("%s stable took=%v fib=%016x", phase, took, fingerprint())
 	}
 	// walkAll checks per-slice loop-freedom and reachability: every
 	// ordered (src, dst-tap) pair inside each slice must walk the
@@ -301,7 +259,7 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 					if r != walkDelivered {
 						bad++
 						if bad <= 5 {
-							violate("%s: slice %s walk %d->%d: %v (%s)",
+							w.violate("%s: slice %s walk %d->%d: %v (%s)",
 								phase, ss.s.Name(), s, d, r, path)
 						}
 					}
@@ -309,9 +267,9 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 			}
 		}
 		if bad > 5 {
-			violate("%s: %d total failed walks", phase, bad)
+			w.violate("%s: %d total failed walks", phase, bad)
 		}
-		fold("%s walks bad=%d", phase, bad)
+		w.fold("%s walks bad=%d", phase, bad)
 	}
 
 	stable("converge")
@@ -321,10 +279,10 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	for _, ss := range slices {
 		for i, vn := range ss.vns {
 			if err := vn.RIB().Verify(); err != nil {
-				violate("slice %s n%d RIB vs FIB: %v", ss.s.Name(), i, err)
+				w.violate("slice %s n%d RIB vs FIB: %v", ss.s.Name(), i, err)
 			}
 			if err := vn.Router.Audit(); err != nil {
-				violate("slice %s n%d click audit: %v", ss.s.Name(), i, err)
+				w.violate("slice %s n%d click audit: %v", ss.s.Name(), i, err)
 			}
 		}
 	}
@@ -348,14 +306,14 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 					continue
 				}
 				if r, path := walkFIB(ss.vns, ss.owner, s, dvn.TapAddr); r != walkDelivered {
-					violate("flap%d: slice %s lost %d->%d with chord up: %v (%s)",
+					w.violate("flap%d: slice %s lost %d->%d with chord up: %v (%s)",
 						f, ss.s.Name(), s, d, r, path)
 				}
 			}
 		}
 		ss.mid.SetFailed(false)
 		stable(fmt.Sprintf("flap%d-up", f))
-		fold("flap%d slice=%s fib=%016x", f, ss.s.Name(), fibFingerprint(ss.vns))
+		w.fold("flap%d slice=%s fib=%016x", f, ss.s.Name(), fibFingerprint(ss.vns))
 	}
 
 	// Demand-driven traffic: one CBR flow per slice between its first
@@ -394,14 +352,14 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	}
 	res.Sent, res.Delivered = flows.Sent(), flows.Delivered()
 	if res.Sent == 0 {
-		violate("traffic: no datagrams sent in %v window", opts.Window)
+		w.violate("traffic: no datagrams sent in %v window", opts.Window)
 	}
 	if res.Delivered != res.Sent {
-		violate("traffic: delivered %d of %d demand datagrams", res.Delivered, res.Sent)
+		w.violate("traffic: delivered %d of %d demand datagrams", res.Delivered, res.Sent)
 	}
-	note("traffic: %d flows, %.1f kbps offered, %d sent / %d delivered",
+	w.note("traffic: %d flows, %.1f kbps offered, %d sent / %d delivered",
 		res.Flows, res.OfferedBps/1000, res.Sent, res.Delivered)
-	fold("traffic flows=%d offered=%.0f sent=%d delivered=%d",
+	w.fold("traffic flows=%d offered=%.0f sent=%d delivered=%d",
 		res.Flows, res.OfferedBps, res.Sent, res.Delivered)
 
 	// Churn tail: destroy a handful of slices, audit the books, and
@@ -415,26 +373,26 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 		ss := slices[i]
 		prefix, ports := ss.s.Prefix(), ss.s.PortRange()
 		if err := ss.s.Destroy(); err != nil {
-			violate("churn destroy %s: %v", ss.s.Name(), err)
+			w.violate("churn destroy %s: %v", ss.s.Name(), err)
 			continue
 		}
 		if err := ss.s.Audit(); err != nil {
-			violate("churn audit %s: %v", ss.s.Name(), err)
+			w.violate("churn audit %s: %v", ss.s.Name(), err)
 		}
 		s2, err := vini.CreateSlice(core.SliceConfig{
 			Name: ss.s.Name() + "r", CPUShare: cpuShare,
 			MaxNodes: len(ss.hops), MaxLinks: len(ss.hops)})
 		if err != nil {
-			violate("churn readmit %s: %v", ss.s.Name(), err)
+			w.violate("churn readmit %s: %v", ss.s.Name(), err)
 			continue
 		}
 		if s2.Prefix() != prefix || s2.PortRange() != ports {
-			violate("churn readmit %s got %v/%v, want LIFO reuse of %v/%v",
+			w.violate("churn readmit %s got %v/%v, want LIFO reuse of %v/%v",
 				s2.Name(), s2.Prefix(), s2.PortRange(), prefix, ports)
 		}
-		fold("churn %s -> %s prefix=%s ports=%s", ss.s.Name(), s2.Name(), s2.Prefix(), s2.PortRange())
+		w.fold("churn %s -> %s prefix=%s ports=%s", ss.s.Name(), s2.Name(), s2.Prefix(), s2.PortRange())
 		if err := s2.Destroy(); err != nil {
-			violate("churn re-destroy %s: %v", s2.Name(), err)
+			w.violate("churn re-destroy %s: %v", s2.Name(), err)
 		}
 	}
 
@@ -442,31 +400,16 @@ func RunScale(opts ScaleOptions) (*ScaleResult, error) {
 	// and the packet pool must balance.
 	for _, ss := range slices {
 		if err := ss.s.Audit(); err != nil {
-			violate("final audit %s: %v", ss.s.Name(), err)
+			w.violate("final audit %s: %v", ss.s.Name(), err)
 		}
 	}
 	if err := vini.AuditAddressPlan(); err != nil {
-		violate("address plan: %v", err)
+		w.violate("address plan: %v", err)
 	}
-	for i := 0; i < 40 && packet.Stats().Sub(baseline).InFlight() != 0; i++ {
-		vini.Run(loop.Now() + 50*time.Millisecond)
-	}
-	res.Violations = append(res.Violations, checkConservation(baseline, "end of scale run")...)
-
-	for _, v := range res.Violations {
-		fold("violation %s", v)
-	}
-	res.Digest = digest.Sum64()
-	res.Events = vini.Executor().TotalFired()
-	res.ScheduleDigest = vini.Executor().ScheduleDigest()
-	if tel := vini.Telemetry(); tel != nil {
-		res.TelemetryDigest = tel.Reg.Digest()
-		res.FlightDigest = tel.Rec.Digest()
-		if js, err := tel.SnapshotJSON(); err == nil {
-			res.Telemetry = string(js)
-		}
+	w.settle("end of scale run")
+	if err := w.finish(); err != nil {
+		return nil, err
 	}
 	res.RunSeconds = time.Since(runStart).Seconds()
-	vini.Close()
 	return res, nil
 }

@@ -1,24 +1,6 @@
 package simtest
 
-import (
-	"fmt"
-	"os"
-	"testing"
-)
-
-// scaleFailArtifact mirrors failArtifact for scale results.
-func scaleFailArtifact(r *ScaleResult) {
-	path := os.Getenv("SIMTEST_FAIL_FILE")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%s\n", r)
-}
+import "testing"
 
 // TestScaleScenario runs the pinned scale regime on the classic engine:
 // 200 slices — well past the old 126-slice ceiling — embedded on a
@@ -26,22 +8,17 @@ func scaleFailArtifact(r *ScaleResult) {
 // demand traffic, churned, and audited. -short trims to 24 nodes / 60
 // slices (still compiled against the sized-allocation path).
 func TestScaleScenario(t *testing.T) {
-	opts := ScaleOptions{Seed: 2}
-	if testing.Short() {
-		opts.Nodes, opts.Slices = 24, 60
-	}
+	seed := int64(2)
 	if *flagSeed >= 0 {
-		opts.Seed = *flagSeed
+		seed = *flagSeed
 	}
-	r, err := RunScale(opts)
-	if err != nil {
-		t.Fatalf("seed %d: harness error: %v", opts.Seed, err)
-	}
-	if r.Failed() {
-		scaleFailArtifact(r)
-		t.Fatalf("seed %d: invariant violation — replay with: go test ./internal/simtest -seed %d -run TestScaleScenario\n%s",
-			opts.Seed, opts.Seed, r)
-	}
+	r := run(t, seed, 0, func(seed int64, workers int) (*ScaleResult, error) {
+		opts := ScaleOptions{Seed: seed, Workers: workers}
+		if testing.Short() {
+			opts.Nodes, opts.Slices = 24, 60
+		}
+		return RunScale(opts)
+	})
 	if r.Slices < 127 && !testing.Short() {
 		t.Fatalf("scale scenario ran only %d slices; the point is to exceed the old 126 ceiling", r.Slices)
 	}
@@ -52,63 +29,19 @@ func TestScaleScenario(t *testing.T) {
 }
 
 // TestScaleWorkerParity extends the worker-parity property to the scale
-// regime: the seeded 64-node / 200-slice scenario must produce
-// byte-identical digests — scenario, event schedule, telemetry
-// registry, flight recorder, and the full JSON snapshot — at 1, 2, and
-// 4 workers. At this scale every divergence class the small-topology
-// parity test hunts (cross-horizon delivery, racy RNG draws, shared
-// state between domains) has hundreds of chances per run to show up.
+// regime: the seeded 64-node / 200-slice scenario must produce one
+// digest bundle — scenario (which folds the traffic counts), event
+// schedule, telemetry registry, flight recorder, and the full JSON
+// snapshot — at 1, 2, and 4 workers. At this scale every divergence
+// class the small-topology parity test hunts (cross-horizon delivery,
+// racy RNG draws, shared state between domains) has hundreds of chances
+// per run to show up.
 func TestScaleWorkerParity(t *testing.T) {
 	seed := int64(11)
 	if *flagSeed >= 0 {
 		seed = *flagSeed
 	}
-	var first *ScaleResult
-	for _, w := range []int{1, 2, 4} {
-		r, err := RunScale(ScaleOptions{Seed: seed, Workers: w})
-		if err != nil {
-			t.Fatalf("seed %d workers=%d: harness error: %v", seed, w, err)
-		}
-		if r.Failed() {
-			scaleFailArtifact(r)
-			t.Fatalf("seed %d workers=%d: invariant violation — replay with: go test ./internal/simtest -seed %d -run TestScaleWorkerParity\n%s",
-				seed, w, seed, r)
-		}
-		if testing.Verbose() {
-			t.Logf("seed %d workers=%d: events=%d sent=%d digest=%016x schedule=%016x",
-				seed, w, r.Events, r.Sent, r.Digest, r.ScheduleDigest)
-		}
-		if first == nil {
-			first = r
-			continue
-		}
-		if r.ScheduleDigest != first.ScheduleDigest {
-			scaleFailArtifact(r)
-			t.Errorf("seed %d: event-schedule digest diverged: workers=%d %016x, workers=%d %016x — replay with: go test ./internal/simtest -seed %d -run TestScaleWorkerParity",
-				seed, first.Workers, first.ScheduleDigest, w, r.ScheduleDigest, seed)
-		}
-		if r.Digest != first.Digest {
-			scaleFailArtifact(r)
-			t.Errorf("seed %d: scenario digest diverged: workers=%d %016x, workers=%d %016x",
-				seed, first.Workers, first.Digest, w, r.Digest)
-		}
-		if r.TelemetryDigest != first.TelemetryDigest {
-			scaleFailArtifact(r)
-			t.Errorf("seed %d: telemetry metrics digest diverged: workers=%d %016x, workers=%d %016x",
-				seed, first.Workers, first.TelemetryDigest, w, r.TelemetryDigest)
-		}
-		if r.FlightDigest != first.FlightDigest {
-			scaleFailArtifact(r)
-			t.Errorf("seed %d: flight-recorder digest diverged: workers=%d %016x, workers=%d %016x",
-				seed, first.Workers, first.FlightDigest, w, r.FlightDigest)
-		}
-		if r.Telemetry != first.Telemetry {
-			t.Errorf("seed %d: telemetry JSON snapshots are not byte-identical (lens %d vs %d)",
-				seed, len(first.Telemetry), len(r.Telemetry))
-		}
-		if r.Sent != first.Sent || r.Delivered != first.Delivered {
-			t.Errorf("seed %d: traffic counts diverged: workers=%d %d/%d, workers=%d %d/%d",
-				seed, first.Workers, first.Delivered, first.Sent, w, r.Delivered, r.Sent)
-		}
-	}
+	parity(t, seed, []int{1, 2, 4}, func(seed int64, workers int) (*ScaleResult, error) {
+		return RunScale(ScaleOptions{Seed: seed, Workers: workers})
+	})
 }

@@ -23,7 +23,6 @@ package simtest
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"vini/internal/packet"
@@ -47,45 +46,21 @@ type Options struct {
 	// asserts); Workers = 0 is a different — also deterministic —
 	// baseline, because domain RNG streams fork differently.
 	Workers int
-	// Quiet suppresses nothing yet; reserved so the CLI flag surface
-	// stays stable.
-	Quiet bool
 }
 
-// Result is everything one scenario produced. Digest is a replay
-// fingerprint: running the same seed twice must yield identical
-// digests, and a digest covers the event schedule, every quiescent
-// FIB state, and every violation, so any divergence anywhere in the
-// run changes it.
+// Result is everything one scenario produced. Its Digest is a replay
+// fingerprint covering the event schedule, every quiescent FIB state,
+// and every violation, so any divergence anywhere in the run changes it.
 type Result struct {
-	Seed           int64
-	Workers        int
+	Report
 	Nodes, Links   int
 	WithRIP        bool
 	EventLog       []string
 	Reconvergences []time.Duration
-	Violations     []string
-	Digest         uint64
-	// ScheduleDigest is the executor's fired-event digest: a fold over
-	// every fired event's (timestamp, domain, sequence) merge key. Two
-	// sharded runs match iff they executed the identical event
-	// schedule — the strongest replay check we have.
-	ScheduleDigest uint64
 	// FIBDigests records the quiescent FIB fingerprint at warmup and
 	// after each event, for fine-grained divergence reports.
 	FIBDigests []uint64
-	// TelemetryDigest folds the metrics registry (labels and values in
-	// registration order); FlightDigest folds the merged flight-recorder
-	// stream. Both must be identical for any worker count.
-	TelemetryDigest uint64
-	FlightDigest    uint64
-	// Telemetry is the full JSON snapshot, compared byte-for-byte by
-	// the parity property.
-	Telemetry string
 }
-
-// Failed reports whether any invariant was violated.
-func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
 // String renders a replay header plus violations, the text a failing
 // test prints so the run can be reproduced from the seed alone.
@@ -95,11 +70,11 @@ func (r *Result) String() string {
 	for _, e := range r.EventLog {
 		s += "\n  event: " + e
 	}
-	for _, v := range r.Violations {
-		s += "\n  VIOLATION: " + v
-	}
-	return s
+	return r.render(s)
 }
+
+// maxConverge bounds every quiescence wait (invariant 4).
+const maxConverge = 300 * time.Second
 
 // Run executes one seeded scenario end to end and returns its Result.
 // It only returns an error for scenario-construction failures (which
@@ -119,38 +94,17 @@ func Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer sc.vini.Close()
 	res := sc.res
-
-	// The conservation baseline is taken before the loop ever runs:
-	// at this instant this scenario has zero packets in flight, and
-	// deltas from here cancel out whatever earlier scenarios in the
-	// same process left behind.
-	baseline := packet.Stats()
-
-	// Quiescence windows. RIP only notices a dead route when its
-	// Timeout (6 updates = 30s at the 5s period) expires, and until
-	// then the FIB can sit on a stale plateau that looks converged —
-	// so scenarios running RIP must demand a stability window longer
-	// than that plateau before declaring quiescence.
-	const step = time.Second
-	settle := 5
-	if sc.withRIP {
-		settle = 36
+	quiescent := func(label string) {
+		sc.checkpoint()
+		fp := fibFingerprint(sc.vnode)
+		res.FIBDigests = append(res.FIBDigests, fp)
+		sc.fold("%s fib=%016x", label, fp)
 	}
-	const maxConverge = 300 * time.Second
 
-	digest := fnv.New64a()
-	note := func(s string) { fmt.Fprintln(digest, s) }
-
-	if _, ok := sc.stable(step, maxConverge, settle); !ok {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("initial convergence not reached within %v", maxConverge))
-	}
-	res.Violations = append(res.Violations, sc.checkpoint(baseline)...)
-	fp := fibFingerprint(sc.vnode)
-	res.FIBDigests = append(res.FIBDigests, fp)
-	note(fmt.Sprintf("warmup fib=%016x", fp))
-
+	sc.stable("initial convergence")
+	quiescent("warmup")
 	events := opts.Events
 	if events == 0 {
 		events = 2 + sc.rng.Intn(4)
@@ -158,63 +112,41 @@ func Run(opts Options) (*Result, error) {
 	for e := 0; e < events; e++ {
 		line := sc.nextEvent()
 		res.EventLog = append(res.EventLog, line)
-		note("event " + line)
-		elapsed, ok := sc.stable(step, maxConverge, settle)
+		sc.fold("event %s", line)
+		elapsed, ok := sc.stable(fmt.Sprintf("reconvergence after %q", line))
 		if !ok {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("reconvergence after %q not reached within %v", line, maxConverge))
 			continue
 		}
 		// The settle tail is quiet by definition; the reconvergence
 		// time is what came before it.
-		rec := elapsed - time.Duration(settle)*step
-		if rec < 0 {
-			rec = 0
-		}
-		res.Reconvergences = append(res.Reconvergences, rec)
-		res.Violations = append(res.Violations, sc.checkpoint(baseline)...)
-		fp := fibFingerprint(sc.vnode)
-		res.FIBDigests = append(res.FIBDigests, fp)
-		note(fmt.Sprintf("quiescent fib=%016x", fp))
+		res.Reconvergences = append(res.Reconvergences,
+			max(elapsed-time.Duration(sc.window)*time.Second, 0))
+		quiescent("quiescent")
 	}
-
-	for _, v := range res.Violations {
-		note("violation " + v)
+	if err := sc.finish(); err != nil {
+		return nil, err
 	}
-	res.Digest = digest.Sum64()
-	res.ScheduleDigest = sc.vini.Executor().ScheduleDigest()
-	if tel := sc.vini.Telemetry(); tel != nil {
-		res.TelemetryDigest = tel.Reg.Digest()
-		res.FlightDigest = tel.Rec.Digest()
-		if js, err := tel.SnapshotJSON(); err == nil {
-			res.Telemetry = string(js)
-		}
-	}
-	sc.vini.Close()
 	return res, nil
 }
 
 // stable advances the event loop until the network-wide FIB contents
-// stop changing for settle consecutive steps (FIB versions tick on
+// stop changing for the scenario's settle window (FIB versions tick on
 // every periodic protocol update even when routes are unchanged, so
 // quiescence is defined over contents).
-func (sc *scenario) stable(step, max time.Duration, settle int) (time.Duration, bool) {
-	return sc.vini.Loop().RunUntilStable(step, max, settle, func() uint64 {
-		return fibFingerprint(sc.vnode)
-	})
+func (sc *scenario) stable(phase string) (time.Duration, bool) {
+	return sc.quiesce(phase, func() uint64 { return fibFingerprint(sc.vnode) }, maxConverge, sc.window)
 }
 
 // checkpoint runs the full invariant suite at one quiescent point.
-func (sc *scenario) checkpoint(baseline packet.PoolStats) []string {
-	var out []string
-	out = append(out, sc.checkLoops()...)
+func (sc *scenario) checkpoint() {
+	v := &sc.res.Violations
+	*v = append(*v, sc.checkLoops()...)
 	sample := sc.addrSample()
 	for i := range sc.vnode {
-		out = append(out, sc.checkConsistency(i, sample)...)
+		*v = append(*v, sc.checkConsistency(i, sample)...)
 	}
-	out = append(out, sc.runProbes()...)
-	out = append(out, sc.settleConservation(baseline)...)
-	return out
+	*v = append(*v, sc.runProbes()...)
+	sc.settle(fmt.Sprintf("t=%v", sc.loop.Now()))
 }
 
 // runProbes injects a small traffic matrix — real UDP datagrams through
@@ -246,8 +178,7 @@ func (sc *scenario) runProbes() []string {
 	}
 	// Drain: worst-case path is diameter x (propagation + forwarder
 	// scheduling), far under a virtual second; give it two.
-	l := sc.vini.Loop()
-	sc.vini.Run(l.Now() + 2*time.Second)
+	sc.vini.Run(sc.loop.Now() + 2*time.Second)
 	var out []string
 	for d := range sc.vnode {
 		got := sc.delivered[d] - before[d]
@@ -257,21 +188,4 @@ func (sc *scenario) runProbes() []string {
 		}
 	}
 	return out
-}
-
-// settleConservation checks invariant 3. Control traffic flows forever,
-// so at any single instant a handful of pooled packets may legitimately
-// be mid-flight inside the event queue; a leak, by contrast, never
-// drains. Sampling the ledger at several closely spaced instants
-// separates the two: a clean system hits a zero-in-flight instant
-// almost immediately.
-func (sc *scenario) settleConservation(baseline packet.PoolStats) []string {
-	l := sc.vini.Loop()
-	for i := 0; i < 40; i++ {
-		if packet.Stats().Sub(baseline).InFlight() == 0 {
-			return nil
-		}
-		sc.vini.Run(l.Now() + 50*time.Millisecond)
-	}
-	return checkConservation(baseline, fmt.Sprintf("t=%v", l.Now()))
 }

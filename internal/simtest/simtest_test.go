@@ -1,51 +1,24 @@
 package simtest
 
 import (
-	"flag"
-	"fmt"
-	"os"
+	"strings"
 	"testing"
 	"time"
+
+	"vini/internal/packet"
 )
 
-var (
-	flagSeeds = flag.Int("seeds", 25, "number of seeded scenarios to explore")
-	flagSeed  = flag.Int64("seed", -1, "replay exactly one scenario seed")
-)
-
-// failArtifact appends a failing seed to the file named by
-// SIMTEST_FAIL_FILE (set in CI) so the artifact survives the run.
-func failArtifact(r *Result) {
-	path := os.Getenv("SIMTEST_FAIL_FILE")
-	if path == "" {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "%s\n", r)
+func runScenario(seed int64, workers int) (*Result, error) {
+	return Run(Options{Seed: seed, Workers: workers})
 }
 
 // TestScenarios is the harness entry point: it explores -seeds seeded
 // scenarios (or exactly one with -seed N) and fails on any invariant
 // violation, printing the seed that reproduces it.
 func TestScenarios(t *testing.T) {
-	seeds := *flagSeeds
-	first := int64(1)
-	if *flagSeed >= 0 {
-		first, seeds = *flagSeed, 1
-	}
-	for s := first; s < first+int64(seeds); s++ {
-		r, err := Run(Options{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: harness error: %v", s, err)
-		}
-		if r.Failed() {
-			failArtifact(r)
-			t.Errorf("invariant violation — replay with: go test ./internal/simtest -seed %d -run TestScenarios\n%s", s, r)
-		}
+	first, n := sweep(int64(*flagSeeds), int64(*flagSeeds))
+	for s := first; s < first+n; s++ {
+		r := run(t, s, 0, runScenario)
 		if testing.Verbose() {
 			t.Logf("seed %d: nodes=%d links=%d rip=%v events=%d reconv=%v digest=%016x",
 				s, r.Nodes, r.Links, r.WithRIP, len(r.EventLog), r.Reconvergences, r.Digest)
@@ -53,27 +26,13 @@ func TestScenarios(t *testing.T) {
 	}
 }
 
-// TestReplayDeterminism runs the same seeds twice and demands
-// byte-identical digests: the digest covers the event schedule, every
-// quiescent FIB fingerprint, and every violation, so equality means
-// the whole run replays exactly.
+// TestReplayDeterminism runs the same seeds twice on the classic engine
+// and demands byte-identical digest bundles: the scenario digest covers
+// the event schedule, every quiescent FIB fingerprint, and every
+// violation, so equality means the whole run replays exactly.
 func TestReplayDeterminism(t *testing.T) {
 	for s := int64(1); s <= 5; s++ {
-		a, err := Run(Options{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		b, err := Run(Options{Seed: s})
-		if err != nil {
-			t.Fatalf("seed %d: %v", s, err)
-		}
-		if a.Digest != b.Digest {
-			t.Errorf("seed %d: replay diverged: %016x vs %016x\nfirst:\n%s\nsecond:\n%s",
-				s, a.Digest, b.Digest, a, b)
-		}
-		if fmt.Sprint(a.EventLog) != fmt.Sprint(b.EventLog) {
-			t.Errorf("seed %d: event logs diverged:\n%v\n%v", s, a.EventLog, b.EventLog)
-		}
+		parity(t, s, []int{0, 0}, runScenario)
 	}
 }
 
@@ -111,28 +70,53 @@ func TestReconvergenceBounded(t *testing.T) {
 		t.Fatalf("expected 4 reconvergence samples, got %d", len(r.Reconvergences))
 	}
 	for i, d := range r.Reconvergences {
-		if d < 0 || d > 300*time.Second {
+		if d < 0 || d > maxConverge {
 			t.Errorf("event %d: reconvergence %v out of bounds", i, d)
 		}
 	}
 }
 
+// TestQuiesceWithoutFixedPoint: a fingerprint that changes on every
+// call never reaches a fixed point, and quiesce must record that as a
+// violation whatever its caller does with the returned flag.
+func TestQuiesceWithoutFixedPoint(t *testing.T) {
+	var rep Report
+	w := newWorld(1, 0, &rep)
+	defer w.vini.Close()
+	n := uint64(0)
+	if _, ok := w.quiesce("moving", func() uint64 { n++; return n }, 10*time.Second, 3); ok {
+		t.Fatal("quiesce reported a fixed point for a fingerprint that never repeats")
+	}
+	if len(rep.Violations) != 1 || !strings.HasPrefix(rep.Violations[0], "moving: ") {
+		t.Fatalf("want one violation for phase \"moving\", got %q", rep.Violations)
+	}
+}
+
 // --- mutation tests: each one injects a fault the harness must catch ---
 
-// TestCatchesCompiledFIBMutation poisons one node's compiled FIB (via
-// the fib package's test-only hook) and demands the differential
-// oracle reports it.
-func TestCatchesCompiledFIBMutation(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 3, MinNodes: 4, MaxNodes: 4})
+// convergedScenario builds a seed's world and runs it to its first
+// quiescent point.
+func convergedScenario(t *testing.T, seed int64, nodes int) *scenario {
+	t.Helper()
+	sc, err := buildScenario(Options{Seed: seed, MinNodes: nodes, MaxNodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.stable(time.Second, 300*time.Second, settleFor(sc)); !ok {
+	t.Cleanup(sc.vini.Close)
+	if _, ok := sc.stable("warmup"); !ok {
 		t.Fatal("did not converge")
 	}
 	if v := sc.checkLoops(); len(v) != 0 {
 		t.Fatalf("clean scenario reported loop violations: %v", v)
 	}
+	return sc
+}
+
+// TestCatchesCompiledFIBMutation poisons one node's compiled FIB (via
+// the fib package's test-only hook) and demands the differential
+// oracle reports it.
+func TestCatchesCompiledFIBMutation(t *testing.T) {
+	sc := convergedScenario(t, 3, 4)
 	sc.vnode[1].FIB.CorruptCompiledForTest()
 	sample := sc.addrSample()
 	var all []string
@@ -145,48 +129,31 @@ func TestCatchesCompiledFIBMutation(t *testing.T) {
 	t.Logf("caught: %v", all[0])
 }
 
-// TestCatchesPacketLeak takes a pooled packet and never releases it;
-// the conservation checker must flag exactly that.
+// TestCatchesPacketLeak takes a pooled packet and never releases it —
+// the exact bug class invariant 3 exists to catch — and the
+// conservation checker must flag exactly that.
 func TestCatchesPacketLeak(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 5, MinNodes: 3, MaxNodes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sc.stable(time.Second, 300*time.Second, settleFor(sc)); !ok {
-		t.Fatal("did not converge")
-	}
-	baseline := takeBaselineForTest()
-	leakPacketForTest() // Get() with no Release/Escape
-	v := sc.settleConservation(baseline)
-	if len(v) == 0 {
+	sc := convergedScenario(t, 5, 3)
+	sc.baseline = packet.Stats()
+	_ = packet.Get() // no Release or Escape
+	sc.settle("leak check")
+	if len(sc.res.Violations) == 0 {
 		t.Fatal("leaked packet went undetected by the conservation checker")
 	}
-	t.Logf("caught: %v", v[0])
+	t.Logf("caught: %v", sc.res.Violations[0])
 }
 
 // TestCatchesForwardingLoop installs a two-node routing loop for a
 // bogus destination straight into the FIBs and demands the loop walker
 // reports it.
 func TestCatchesForwardingLoop(t *testing.T) {
-	sc, err := buildScenario(Options{Seed: 11, MinNodes: 4, MaxNodes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sc.stable(time.Second, 300*time.Second, settleFor(sc)); !ok {
-		t.Fatal("did not converge")
-	}
-	if v := sc.checkLoops(); len(v) != 0 {
-		t.Fatalf("clean scenario reported loop violations: %v", v)
-	}
-	// Point n0's route for n1's tap back through a next hop owned by
-	// n0 itself is impossible; instead aim n0 -> n1 and n1 -> n0 for
-	// the same destination: n2's tap.
-	dst := sc.vnode[2].TapAddr
-	installLoopForTest(sc, 0, 1, dst)
+	sc := convergedScenario(t, 11, 4)
+	// Aim n0 -> n1 and n1 -> n0 for the same destination: n2's tap.
+	installLoopForTest(sc, 0, 1, sc.vnode[2].TapAddr)
 	v := sc.checkLoops()
 	found := false
 	for _, s := range v {
-		if containsLoop(s) {
+		if strings.HasPrefix(s, "forwarding loop") {
 			found = true
 		}
 	}
@@ -194,15 +161,4 @@ func TestCatchesForwardingLoop(t *testing.T) {
 		t.Fatalf("injected forwarding loop went undetected; got %v", v)
 	}
 	t.Logf("caught: %v", v)
-}
-
-func containsLoop(s string) bool {
-	return len(s) >= len("forwarding loop") && s[:len("forwarding loop")] == "forwarding loop"
-}
-
-func settleFor(sc *scenario) int {
-	if sc.withRIP {
-		return 36
-	}
-	return 5
 }
