@@ -155,6 +155,7 @@ func BenchmarkFigure8(b *testing.B) {
 			b.Fatal(err)
 		}
 		pts, err := e.Figure8()
+		e.V.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,6 +194,7 @@ func BenchmarkFigure9(b *testing.B) {
 			b.Fatal(err)
 		}
 		arr, err := e.Figure9()
+		e.V.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -52,12 +52,11 @@ type adaptiveReport struct {
 
 // adaptiveExp drives the delay-gradient adaptive sender through the
 // full simtest scenario — alone, against CBR cross-traffic, across
-// overlay Pause/Resume, and through a substrate reroute — on the
-// classic engine and on 1/2/4-worker sharded execution. Every sharded
-// leg must produce byte-identical digests, a same-seed classic rerun
-// must reproduce its digests exactly (the replay cross-check every
-// benchmark here applies), and every leg must satisfy the convergence
-// and teardown invariants. The per-phase estimate-vs-actual table is
+// overlay Pause/Resume, and through a substrate reroute — on 1, 2 and 4
+// workers. Every leg must produce byte-identical digests, a same-seed
+// 1-worker rerun must reproduce its digests exactly (the replay
+// cross-check every benchmark here applies), and every leg must satisfy
+// the convergence and teardown invariants. The per-phase estimate-vs-actual table is
 // the paper-style readout; BENCH_adaptive.json is the committed
 // artifact the CI baseline gate compares against.
 func adaptiveExp() error {
@@ -66,11 +65,10 @@ func adaptiveExp() error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: *seedFlag,
 		DigestsAgree: true,
 	}
-	var shardDigest, shardSchedule string
-	var classic *simtest.AdaptiveResult
-	maxW := 0
+	var first *simtest.AdaptiveResult
+	const maxW = 4
 	fmt.Printf("%-14s %12s %14s %10s %8s\n", "engine", "events", "events/sec", "updates", "wall")
-	for _, w := range []int{0, 1, 2, 4} {
+	for _, w := range []int{1, 2, maxW} {
 		start := time.Now()
 		r, err := simtest.RunAdaptive(simtest.AdaptiveOptions{Seed: *seedFlag, Workers: w})
 		if err != nil {
@@ -80,13 +78,8 @@ func adaptiveExp() error {
 			fmt.Printf("%s\n", r)
 			return fmt.Errorf("adaptive: workers=%d: %d invariant violations", w, len(r.Violations))
 		}
-		name := "classic-loop"
-		if w > 0 {
-			name = fmt.Sprintf("domains x%d", w)
-			maxW = w
-		}
 		row := adaptiveRow{
-			Name: name, Workers: w, Gomaxprocs: runtime.GOMAXPROCS(0),
+			Name: fmt.Sprintf("domains x%d", w), Workers: w, Gomaxprocs: runtime.GOMAXPROCS(0),
 			Events: r.Events, EventsPerSec: float64(r.Events) / r.RunSeconds,
 			TracePoints:     r.TracePoints,
 			Digest:          fmt.Sprintf("%016x", r.Digest),
@@ -97,8 +90,8 @@ func adaptiveExp() error {
 		}
 		fmt.Printf("%-14s %12d %14.0f %10d %7.2fs\n",
 			row.Name, row.Events, row.EventsPerSec, row.TracePoints, row.WallSeconds)
-		if w == 0 {
-			classic = r
+		if first == nil {
+			first = r
 			rep.BottleneckBps, rep.AltBps, rep.CrossBps = r.BottleneckBps, r.AltBps, r.CrossBps
 			for _, p := range r.Phases {
 				rep.Phases = append(rep.Phases, adaptivePhaseRow{
@@ -107,25 +100,21 @@ func adaptiveExp() error {
 					RatioPct: 100 * p.EstimateBps / p.AvailBps,
 				})
 			}
-		} else {
-			if shardDigest == "" {
-				shardDigest, shardSchedule = row.Digest, row.Schedule
-			} else if row.Digest != shardDigest || row.Schedule != shardSchedule {
-				rep.DigestsAgree = false
-			}
+		} else if r.Digest != first.Digest || r.ScheduleDigest != first.ScheduleDigest {
+			rep.DigestsAgree = false
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	// Replay cross-check: the same classic seed run again must
+	// Replay cross-check: the same seed run again on one worker must
 	// reproduce every digest byte-for-byte.
-	replay, err := simtest.RunAdaptive(simtest.AdaptiveOptions{Seed: *seedFlag})
+	replay, err := simtest.RunAdaptive(simtest.AdaptiveOptions{Seed: *seedFlag, Workers: 1})
 	if err != nil {
 		return err
 	}
-	rep.ReplayDigestsMatch = replay.Digest == classic.Digest &&
-		replay.ScheduleDigest == classic.ScheduleDigest &&
-		replay.TelemetryDigest == classic.TelemetryDigest &&
-		replay.FlightDigest == classic.FlightDigest
+	rep.ReplayDigestsMatch = replay.Digest == first.Digest &&
+		replay.ScheduleDigest == first.ScheduleDigest &&
+		replay.TelemetryDigest == first.TelemetryDigest &&
+		replay.FlightDigest == first.FlightDigest
 
 	fmt.Printf("\nbottleneck %.2f Mb/s, alternate path %.2f Mb/s, CBR cross-traffic %.2f Mb/s\n",
 		rep.BottleneckBps/1e6, rep.AltBps/1e6, rep.CrossBps/1e6)
@@ -135,13 +124,13 @@ func adaptiveExp() error {
 			p.Name, p.AvailBps/1e3, p.EstimateBps/1e3, p.DeliveredBps/1e3, p.RatioPct)
 	}
 	if rep.DigestsAgree {
-		fmt.Printf("sharded digest %s / schedule %s identical across 1/2/4 workers\n",
-			shardDigest, shardSchedule)
+		fmt.Printf("digest %016x / schedule %016x identical across 1/2/4 workers\n",
+			first.Digest, first.ScheduleDigest)
 	} else {
-		fmt.Println("DETERMINISM VIOLATION: sharded digests diverged across worker counts")
+		fmt.Println("DETERMINISM VIOLATION: digests diverged across worker counts")
 	}
 	if rep.ReplayDigestsMatch {
-		fmt.Println("replay cross-check: second seeded classic run reproduced every digest")
+		fmt.Println("replay cross-check: second seeded 1-worker run reproduced every digest")
 	} else {
 		rep.Note = "replay digest mismatch: seeded reruns diverged"
 		fmt.Println("WARNING: " + rep.Note)

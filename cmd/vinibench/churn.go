@@ -49,7 +49,8 @@ type churnReport struct {
 // released blocks straight back).
 func churnExp() error {
 	cycles := count(8, 3)
-	v := core.New(*seedFlag)
+	v := core.NewParallel(*seedFlag, 1)
+	defer v.Close()
 	g := topology.Abilene()
 	for _, pop := range g.Nodes() {
 		addr, _ := topology.AbilenePublicAddr(pop)

@@ -87,6 +87,7 @@ func telemetryExp() error {
 	if err != nil {
 		return err
 	}
+	defer e.V.Close()
 	if _, err := e.Figure8(); err != nil {
 		return err
 	}
@@ -98,6 +99,7 @@ func telemetryExp() error {
 	if err != nil {
 		return err
 	}
+	defer replay.V.Close()
 	if _, err := replay.Figure8(); err != nil {
 		return err
 	}
@@ -484,6 +486,7 @@ func fig8() error {
 	if err != nil {
 		return err
 	}
+	defer e.V.Close()
 	pts, err := e.Figure8()
 	if err != nil {
 		return err
@@ -522,6 +525,7 @@ func fig9() error {
 	if err != nil {
 		return err
 	}
+	defer e.V.Close()
 	arr, err := e.Figure9()
 	if err != nil {
 		return err

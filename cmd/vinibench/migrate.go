@@ -145,7 +145,8 @@ func migrateArm(naive bool, warm, total int) (migrateRow, error) {
 	}
 	row := migrateRow{Mode: mode, Sent: total}
 	start := time.Now()
-	v := core.New(*seedFlag)
+	v := core.NewParallel(*seedFlag, 1)
+	defer v.Close()
 	for i, n := range []string{"west", "mid", "east", "spare"} {
 		a := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
 		if _, err := v.AddNode(n, a, netem.DETERProfile(), sched.Options{}); err != nil {
@@ -181,8 +182,9 @@ func migrateArm(naive bool, warm, total int) (migrateRow, error) {
 	west, _ := s.VirtualNode("west")
 	east, _ := s.VirtualNode("east")
 	westTap, eastTap := west.TapAddr, east.TapAddr
-	// The classic single-timeline engine runs listeners inline, so a
-	// plain slice indexed by sequence number is race-free here.
+	// One worker runs every node's domain, so no two listeners run
+	// concurrently, and the driver reads the counts only between Runs:
+	// a plain slice indexed by sequence number is race-free here.
 	delivered := make([]int, total)
 	for _, n := range []string{"west", "mid", "east", "spare"} {
 		node, ok := v.Net.Node(n)

@@ -23,19 +23,14 @@ type parallelRow struct {
 	Workers     int     `json:"workers"`
 	Gomaxprocs  int     `json:"gomaxprocs"`
 	WallSeconds float64 `json:"wall_seconds"`
-	// Events counts fired events. Since cross-domain hand-offs became
-	// typed deliveries (no wrapper events on either path), a fired
-	// event means the same thing in classic and sharded mode: one
-	// semantic action. Residual differences between the modes are real
-	// workload divergence — the engines fork RNG streams differently
-	// and are separate deterministic baselines — not accounting noise.
+	// Events counts fired events, one per semantic action:
+	// cross-domain hand-offs are typed deliveries, not wrapper events.
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	// Deliveries is reported separately: cross-domain typed messages
-	// delivered into a destination heap (0 in classic mode, where every
-	// hop is a local event).
+	// delivered into a destination heap.
 	Deliveries uint64 `json:"deliveries"`
-	// Rounds counts coordinator quiescence epochs (classic: events).
+	// Rounds counts coordinator quiescence epochs.
 	Rounds    uint64 `json:"rounds"`
 	Windows   uint64 `json:"windows"`
 	Fallbacks uint64 `json:"fallbacks"`
@@ -75,14 +70,9 @@ var cbrPairs = [][2]string{
 // Abilene substrate (minimum link propagation delay 2.25 ms — the
 // conservative executor's lookahead floor) carrying 4 IIAS slices, each
 // mirroring the physical topology with its own OSPF instance and one
-// cross-country UDP CBR flow. workers == 0 builds on the classic
-// single-timeline loop; workers >= 1 shards each PoP into its own time
-// domain.
+// cross-country UDP CBR flow. Each PoP runs in its own time domain.
 func buildParallelWorld(seed int64, workers int) (*core.VINI, error) {
-	v := core.New(seed)
-	if workers > 0 {
-		v = core.NewParallel(seed, workers)
-	}
+	v := core.NewParallel(seed, workers)
 	g := topology.Abilene()
 	for _, pop := range g.Nodes() {
 		addr, _ := topology.AbilenePublicAddr(pop)
@@ -128,11 +118,7 @@ func buildParallelWorld(seed int64, workers int) (*core.VINI, error) {
 
 // runParallelBench measures one engine configuration end to end.
 func runParallelBench(workers int, window time.Duration) (parallelRow, []sim.DomainStats, error) {
-	name := "classic-loop"
-	if workers > 0 {
-		name = fmt.Sprintf("domains x%d", workers)
-	}
-	row := parallelRow{Name: name, Workers: workers}
+	row := parallelRow{Name: fmt.Sprintf("domains x%d", workers), Workers: workers}
 	v, err := buildParallelWorld(*seedFlag, workers)
 	if err != nil {
 		return row, nil, err
@@ -153,29 +139,20 @@ func runParallelBench(workers int, window time.Duration) (parallelRow, []sim.Dom
 	row.Steals = x.Steals()
 	row.ScheduleDigest = fmt.Sprintf("%016x", x.ScheduleDigest())
 	stats := x.Stats()
-	if workers > 0 {
-		row.PerDomain = make(map[string]uint64, len(stats))
-		for _, s := range stats {
-			row.PerDomain[s.Label] = s.Fired
-		}
+	row.PerDomain = make(map[string]uint64, len(stats))
+	for _, s := range stats {
+		row.PerDomain[s.Label] = s.Fired
 	}
 	return row, stats, nil
 }
 
-// parallelExp benchmarks the sharded conservative executor against the
-// classic loop on the 4-slice Abilene scenario, checks that every
-// sharded worker count executes the byte-identical event schedule, and
-// writes BENCH_parallel.json.
+// parallelExp benchmarks the conservative executor at 1, 2, 4, ...
+// workers on the 4-slice Abilene scenario, checks that every worker
+// count executes the byte-identical event schedule, and writes
+// BENCH_parallel.json.
 func parallelExp() error {
 	window := dur(60*time.Second, 20*time.Second)
-	maxW := *parallelFlag
-	if maxW < 1 {
-		maxW = 1
-	}
-	workerCounts := []int{0, 1}
-	for w := 2; w <= maxW; w *= 2 {
-		workerCounts = append(workerCounts, w)
-	}
+	workerCounts, maxW := workerLegs()
 	fmt.Printf("4-slice Abilene (11 PoPs, min link delay 2.25ms), %v virtual time\n", window)
 	fmt.Printf("host: %d CPUs, GOMAXPROCS=%d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	fmt.Printf("%-14s %10s %12s %14s %12s %8s %10s %10s %10s\n",
@@ -188,7 +165,7 @@ func parallelExp() error {
 		DigestsAgree: true,
 	}
 	var wall1, wall4 float64
-	shardDigest := ""
+	digest0 := ""
 	for _, w := range workerCounts {
 		row, stats, err := runParallelBench(w, window)
 		if err != nil {
@@ -197,7 +174,7 @@ func parallelExp() error {
 		fmt.Printf("%-14s %9.2fs %12d %14.0f %12d %8d %10d %10d %10d\n",
 			row.Name, row.WallSeconds, row.Events, row.EventsPerSec,
 			row.Deliveries, row.Rounds, row.Trains, row.Steals, row.Fallbacks)
-		if *verbose && w > 0 {
+		if *verbose {
 			fmt.Printf("  %-14s %10s %10s %10s %10s %10s %10s %8s\n",
 				"domain", "scheduled", "sent", "delivered", "fired", "cancelled", "recycled", "stalls")
 			for _, s := range stats {
@@ -205,12 +182,10 @@ func parallelExp() error {
 					s.Label, s.Scheduled, s.Sent, s.Delivered, s.Fired, s.Cancelled, s.Recycled, s.Stalls)
 			}
 		}
-		if w > 0 {
-			if shardDigest == "" {
-				shardDigest = row.ScheduleDigest
-			} else if row.ScheduleDigest != shardDigest {
-				rep.DigestsAgree = false
-			}
+		if digest0 == "" {
+			digest0 = row.ScheduleDigest
+		} else if row.ScheduleDigest != digest0 {
+			rep.DigestsAgree = false
 		}
 		if w == 1 {
 			wall1 = row.WallSeconds
@@ -225,9 +200,9 @@ func parallelExp() error {
 		fmt.Printf("speedup (%d workers vs 1): %.2fx\n", maxW, rep.Speedup)
 	}
 	if !rep.DigestsAgree {
-		fmt.Println("DETERMINISM VIOLATION: sharded schedule digests diverged across worker counts")
+		fmt.Println("DETERMINISM VIOLATION: schedule digests diverged across worker counts")
 	} else {
-		fmt.Printf("sharded schedule digest %s identical across all worker counts\n", shardDigest)
+		fmt.Printf("schedule digest %s identical across all worker counts\n", digest0)
 	}
 	if runtime.GOMAXPROCS(0) < 2 {
 		rep.Note = "single-CPU host: worker goroutines time-share one core, so no " +
@@ -252,6 +227,18 @@ func parallelExp() error {
 		}
 	}
 	return nil
+}
+
+// workerLegs returns the worker counts a multi-leg benchmark runs —
+// 1, 2, 4, ... up to -parallel — and the -parallel budget itself (at
+// least 1), whose row the baseline gate reads.
+func workerLegs() ([]int, int) {
+	maxW := max(*parallelFlag, 1)
+	legs := []int{1}
+	for w := 2; w <= maxW; w *= 2 {
+		legs = append(legs, w)
+	}
+	return legs, maxW
 }
 
 // gateReport is what the baseline gate reads from any BENCH_*.json

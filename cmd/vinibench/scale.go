@@ -37,16 +37,16 @@ type scaleReport struct {
 	NumCPU     int        `json:"num_cpu"`
 	GOMAXPROCS int        `json:"gomaxprocs"`
 	Rows       []scaleRow `json:"rows"`
-	// DigestsAgree reports whether every sharded worker count produced
+	// DigestsAgree reports whether every worker count produced
 	// byte-identical scenario and schedule digests.
 	DigestsAgree bool   `json:"sharded_digests_agree"`
 	Note         string `json:"note,omitempty"`
 }
 
 // scaleExp runs the scale-regime scenario — hundreds of slices on a
-// REPETITA topology, far past the old 126-slice ceiling — across the
-// classic loop and 1/2/4-worker sharded engines, checks digest parity,
-// and writes BENCH_scale.json. External REPETITA files plug in via
+// REPETITA topology, far past the old 126-slice ceiling — on 1, 2, 4,
+// ... workers up to -parallel, checks digest parity, and writes
+// BENCH_scale.json. External REPETITA files plug in via
 // -topo/-demands; otherwise the pinned synthetic topology is used.
 func scaleExp() error {
 	opts := simtest.ScaleOptions{
@@ -69,14 +69,7 @@ func scaleExp() error {
 		}
 		opts.DemandsText = string(d)
 	}
-	maxW := *parallelFlag
-	if maxW < 1 {
-		maxW = 1
-	}
-	workerCounts := []int{0, 1}
-	for w := 2; w <= maxW; w *= 2 {
-		workerCounts = append(workerCounts, w)
-	}
+	workerCounts, maxW := workerLegs()
 	rep := scaleReport{
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -90,7 +83,7 @@ func scaleExp() error {
 	fmt.Printf("host: %d CPUs, GOMAXPROCS=%d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	fmt.Printf("%-14s %8s %8s %12s %14s %10s %12s\n",
 		"engine", "build", "run", "events", "events/sec", "sent", "delivered")
-	shardDigest, shardSchedule := "", ""
+	digest0, schedule0 := "", ""
 	for _, w := range workerCounts {
 		o := opts
 		o.Workers = w
@@ -102,12 +95,8 @@ func scaleExp() error {
 			fmt.Printf("%s\n", r)
 			return fmt.Errorf("scale: workers=%d: %d invariant violations", w, len(r.Violations))
 		}
-		name := "classic-loop"
-		if w > 0 {
-			name = fmt.Sprintf("domains x%d", w)
-		}
 		row := scaleRow{
-			Name: name, Workers: w, Gomaxprocs: runtime.GOMAXPROCS(0),
+			Name: fmt.Sprintf("domains x%d", w), Workers: w, Gomaxprocs: runtime.GOMAXPROCS(0),
 			BuildSeconds: r.BuildSeconds, RunSeconds: r.RunSeconds,
 			Events: r.Events, EventsPerSec: float64(r.Events) / r.RunSeconds,
 			Sent: r.Sent, Delivered: r.Delivered,
@@ -119,20 +108,18 @@ func scaleExp() error {
 			row.EventsPerSec, row.Sent, row.Delivered)
 		rep.Nodes, rep.Links, rep.Slices = r.Nodes, r.Links, r.Slices
 		rep.VNodes, rep.Flows, rep.OfferedBps = r.VNodes, r.Flows, r.OfferedBps
-		if w > 0 {
-			if shardDigest == "" {
-				shardDigest, shardSchedule = row.Digest, row.Schedule
-			} else if row.Digest != shardDigest || row.Schedule != shardSchedule {
-				rep.DigestsAgree = false
-			}
+		if digest0 == "" {
+			digest0, schedule0 = row.Digest, row.Schedule
+		} else if row.Digest != digest0 || row.Schedule != schedule0 {
+			rep.DigestsAgree = false
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	if !rep.DigestsAgree {
-		fmt.Println("DETERMINISM VIOLATION: sharded digests diverged across worker counts")
+		fmt.Println("DETERMINISM VIOLATION: digests diverged across worker counts")
 	} else {
-		fmt.Printf("sharded scenario digest %s / schedule %s identical across all worker counts\n",
-			shardDigest, shardSchedule)
+		fmt.Printf("scenario digest %s / schedule %s identical across all worker counts\n",
+			digest0, schedule0)
 	}
 	if runtime.GOMAXPROCS(0) < 2 {
 		rep.Note = "single-CPU host: worker goroutines time-share one core, so no " +

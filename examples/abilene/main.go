@@ -22,6 +22,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer e.V.Close()
 	fmt.Printf("overlay converged; OSPF hello %s, dead %s\n", e.Hello, e.Dead)
 	fmt.Println("pinging washington -> seattle every 200 ms;")
 	fmt.Println("failing denver--kansas-city inside Click at t=10 s, restoring at t=34 s")
@@ -79,7 +80,7 @@ func main() {
 	wash, _ := e.Slice.VirtualNode(topology.Washington)
 	sea, _ := e.Slice.VirtualNode(topology.Seattle)
 	h := traffic.NewICMPHost(wash.Phys())
-	tr := h.StartTraceroute(e.V.Loop(), traffic.TracerouteConfig{
+	tr := h.StartTraceroute(traffic.TracerouteConfig{
 		Src: wash.TapAddr, Dst: sea.TapAddr})
 	e.V.Run(e.V.Loop().Now() + 60*time.Second)
 	for _, hop := range tr.Hops {

@@ -23,6 +23,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer v.Close()
 	mirror := func(name string) *vini.Slice {
 		s, err := v.CreateSlice(vini.SliceConfig{Name: name, CPUShare: 0.2, RT: true})
 		if err != nil {

@@ -22,6 +22,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	defer v.Close()
 	// An end-host client near Washington D.C. and a web server ("CNN" in
 	// the paper's figure) attached beyond New York.
 	clientPub := netip.MustParseAddr("128.112.93.81")

@@ -15,6 +15,7 @@ import (
 func main() {
 	// Physical substrate: three hosts in a line, gigabit links.
 	v := vini.New(42)
+	defer v.Close()
 	for i, name := range []string{"left", "middle", "right"} {
 		addr := netip.MustParseAddr(fmt.Sprintf("198.51.100.%d", i+1))
 		if _, err := v.AddNode(name, addr, vini.PlanetLabProfile(), vini.SchedOptions{}); err != nil {
@@ -52,7 +53,7 @@ func main() {
 	// Ping across the overlay.
 	traffic.NewICMPHost(right.Phys())
 	h := traffic.NewICMPHost(left.Phys())
-	p := h.StartPing(v.Loop(), traffic.PingConfig{
+	p := h.StartPing(traffic.PingConfig{
 		Src: left.TapAddr, Dst: right.TapAddr,
 		Interval: 100 * time.Millisecond, Count: 50,
 	})

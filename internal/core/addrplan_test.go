@@ -17,16 +17,17 @@ import (
 // the just-released blocks (LIFO).
 func TestAddrPlanProperties(t *testing.T) {
 	shapes := []SliceConfig{
-		{},                          // legacy /16 + 256 ports
-		{MaxNodes: 3, MaxLinks: 3},  // /27 + 4 ports
-		{MaxNodes: 6, MaxLinks: 6},  // /26
+		{},                         // legacy /16 + 256 ports
+		{MaxNodes: 3, MaxLinks: 3}, // /27 + 4 ports
+		{MaxNodes: 6, MaxLinks: 6}, // /26
 		{MaxNodes: 12, MaxLinks: 20},
 		{MaxNodes: 40, MaxLinks: 64},
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			v := New(seed)
+			v := NewParallel(seed, 1)
+			t.Cleanup(v.Close)
 			var live []*Slice
 			checkDisjoint := func() {
 				t.Helper()
@@ -189,10 +190,10 @@ func TestBlockSizeFor(t *testing.T) {
 		nodes, links int
 		want         uint32
 	}{
-		{0, 0, 1 << 16},  // unsized: legacy /16
-		{3, 3, 32},       // /27
-		{6, 6, 64},       // /26
-		{14, 3, 32},      // node-bound half
+		{0, 0, 1 << 16}, // unsized: legacy /16
+		{3, 3, 32},      // /27
+		{6, 6, 64},      // /26
+		{14, 3, 32},     // node-bound half
 		{250, 8000, 1 << 16},
 		{1000, 100000, 1 << 16}, // clamped at /16
 	}

@@ -27,7 +27,7 @@ type connFn func([]byte)
 func (f connFn) Send(msg []byte) { f(msg) }
 
 func TestConnectBGPDistributesExternalRoutes(t *testing.T) {
-	v := buildAbilene(t, 41)
+	v := buildAbilene(t, 41, 1)
 	s := abileneSlice(t, v, SliceConfig{Name: "iias", CPUShare: 0.25, RT: true})
 	ny, _ := s.VirtualNode(topology.NewYork)
 	if err := ny.EnableEgress(); err != nil {
@@ -132,7 +132,7 @@ func (vn *VirtualNode) hasIfaceAddr(a netip.Addr) bool {
 }
 
 func TestConnectBGPValidation(t *testing.T) {
-	v := buildAbilene(t, 42)
+	v := buildAbilene(t, 42, 1)
 	s := abileneSlice(t, v, SliceConfig{Name: "iias"})
 	mux := bgp.NewMux(v.Loop(), bgp.MuxConfig{ASN: 64600, RouterID: 9})
 	if err := s.ConnectBGP(mux, "atlantis", netip.MustParsePrefix("198.32.0.0/20"), 1, 1); err == nil {

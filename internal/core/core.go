@@ -39,29 +39,19 @@ type VINI struct {
 	tel *telemetry.Telemetry
 }
 
-// New creates an infrastructure on a fresh event loop: the classic
-// single-timeline mode, byte-identical to the historical global loop.
-func New(seed int64) *VINI {
-	return build(sim.NewLoop(seed), false)
-}
-
 // NewParallel creates an infrastructure whose physical nodes each get
 // their own time domain, run by an executor with the given worker
-// budget under conservative synchronization. workers <= 1 still shards
-// nodes into domains but executes them on one worker — the
-// determinism-parity baseline: results are byte-identical for any
-// worker count.
+// budget under conservative synchronization. workers <= 1 executes
+// every domain on one worker — the determinism-parity baseline: results
+// are byte-identical for any worker count.
 func NewParallel(seed int64, workers int) *VINI {
-	return build(sim.NewExecutor(seed, workers).Loop(), true)
-}
-
-func build(loop *sim.Loop, shard bool) *VINI {
-	net := netem.New(loop)
-	if shard {
-		net = netem.NewSharded(loop)
-	}
-	v := &VINI{
-		Net:      net,
+	loop := sim.NewExecutor(seed, workers).Loop()
+	// Skip one control-stream fork so every seeded result recorded so
+	// far (schedule digests, BENCH_*.json) stays reproducible: those
+	// worlds drew one extra fork before building their network.
+	loop.RNG().Fork()
+	return &VINI{
+		Net:      netem.New(loop),
 		loop:     loop,
 		graph:    topology.New(),
 		slices:   make(map[string]*Slice),
@@ -69,7 +59,6 @@ func build(loop *sim.Loop, shard bool) *VINI {
 		plan:     newAddrPlan(),
 		reserved: make(map[string]float64),
 	}
-	return v
 }
 
 // Loop exposes the event loop for scheduling experiment actions.
@@ -79,8 +68,10 @@ func (v *VINI) Loop() *sim.Loop { return v.loop }
 // schedule digests, worker shutdown).
 func (v *VINI) Executor() *sim.Executor { return v.loop.Executor() }
 
-// Close releases the executor's worker goroutines. Only needed for
-// NewParallel infrastructures that have run; harmless otherwise.
+// Close releases the executor's worker goroutines. Every infrastructure
+// that has run must be closed: a parked worker keeps a reference to the
+// executor and so pins the whole world in memory. The world cannot Run
+// again afterwards. Closing a world that never ran is a no-op.
 func (v *VINI) Close() { v.loop.Executor().Shutdown() }
 
 // AddNode creates a physical node.

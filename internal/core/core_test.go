@@ -12,12 +12,14 @@ import (
 	"vini/internal/traffic"
 )
 
-// buildAbilene stands up the physical Abilene substrate.
-func buildAbilene(t testing.TB, seed int64) *VINI {
+// buildAbilene stands up the physical Abilene substrate on an executor
+// with the given worker budget.
+func buildAbilene(t testing.TB, seed int64, workers int) *VINI {
 	if h, ok := t.(interface{ Helper() }); ok {
 		h.Helper()
 	}
-	v := New(seed)
+	v := NewParallel(seed, workers)
+	t.Cleanup(v.Close)
 	g := topology.Abilene()
 	for _, n := range g.Nodes() {
 		a, _ := topology.AbilenePublicAddr(n)
@@ -60,7 +62,7 @@ func abileneSlice(t testing.TB, v *VINI, cfg SliceConfig) *Slice {
 }
 
 func TestSliceAddressingIsolation(t *testing.T) {
-	v := buildAbilene(t, 1)
+	v := buildAbilene(t, 1, 1)
 	s1, _ := v.CreateSlice(SliceConfig{Name: "one"})
 	s2, _ := v.CreateSlice(SliceConfig{Name: "two"})
 	if s1.Prefix() == s2.Prefix() {
@@ -86,7 +88,7 @@ func TestSliceAddressingIsolation(t *testing.T) {
 }
 
 func TestOSPFConvergesOverOverlay(t *testing.T) {
-	v := buildAbilene(t, 1)
+	v := buildAbilene(t, 1, 1)
 	s := abileneSlice(t, v, SliceConfig{Name: "iias", CPUShare: 0.25, RT: true})
 	s.StartOSPF(5*time.Second, 10*time.Second)
 	v.Run(60 * time.Second)
@@ -113,7 +115,7 @@ func TestOSPFConvergesOverOverlay(t *testing.T) {
 }
 
 func TestPingAcrossOverlay(t *testing.T) {
-	v := buildAbilene(t, 2)
+	v := buildAbilene(t, 2, 1)
 	s := abileneSlice(t, v, SliceConfig{Name: "iias", CPUShare: 0.25, RT: true})
 	s.StartOSPF(time.Second, 3*time.Second)
 	v.Run(30 * time.Second)
@@ -121,7 +123,7 @@ func TestPingAcrossOverlay(t *testing.T) {
 	sea, _ := s.VirtualNode(topology.Seattle)
 	traffic.NewICMPHost(sea.Phys())
 	h := traffic.NewICMPHost(wash.Phys())
-	p := h.StartPing(v.Loop(), traffic.PingConfig{
+	p := h.StartPing(traffic.PingConfig{
 		Src: wash.TapAddr, Dst: sea.TapAddr,
 		Interval: 200 * time.Millisecond, Count: 50})
 	v.Run(60 * time.Second)
@@ -137,7 +139,7 @@ func TestPingAcrossOverlay(t *testing.T) {
 // TestClickFailureReroutesOSPF is the Section 5.2 experiment in miniature:
 // fail Denver–Kansas City inside Click, watch OSPF reroute, restore.
 func TestClickFailureReroutesOSPF(t *testing.T) {
-	v := buildAbilene(t, 3)
+	v := buildAbilene(t, 3, 1)
 	s := abileneSlice(t, v, SliceConfig{Name: "iias", CPUShare: 0.25, RT: true})
 	s.StartOSPF(time.Second, 3*time.Second) // fast timers to keep the test short
 	v.Run(30 * time.Second)
@@ -180,7 +182,7 @@ func TestClickFailureReroutesOSPF(t *testing.T) {
 }
 
 func TestUpcallsExposePhysicalFailures(t *testing.T) {
-	v := buildAbilene(t, 4)
+	v := buildAbilene(t, 4, 1)
 	s := abileneSlice(t, v, SliceConfig{Name: "iias", CPUShare: 0.25, RT: true,
 		ExposePhysicalFailures: true})
 	var alarms []LinkAlarm
@@ -228,7 +230,7 @@ func TestUpcallsExposePhysicalFailures(t *testing.T) {
 }
 
 func TestSimultaneousSlicesAreIsolated(t *testing.T) {
-	v := buildAbilene(t, 5)
+	v := buildAbilene(t, 5, 1)
 	s1 := abileneSlice(t, v, SliceConfig{Name: "ospf-slice", CPUShare: 0.2, RT: true})
 	s2 := abileneSlice(t, v, SliceConfig{Name: "rip-slice", CPUShare: 0.2, RT: true})
 	s1.StartOSPF(time.Second, 3*time.Second)
@@ -262,7 +264,7 @@ func TestSimultaneousSlicesAreIsolated(t *testing.T) {
 }
 
 func TestAtomicProtocolSwitchover(t *testing.T) {
-	v := buildAbilene(t, 6)
+	v := buildAbilene(t, 6, 1)
 	s := abileneSlice(t, v, SliceConfig{Name: "dual", CPUShare: 0.25, RT: true})
 	s.StartOSPF(time.Second, 3*time.Second)
 	s.StartRIP(2 * time.Second)
@@ -289,7 +291,7 @@ func TestEgressNATLifeOfAPacket(t *testing.T) {
 	// The Figure 2 scenario: a packet from an overlay address reaches an
 	// external web server via the egress NAT, and the response returns
 	// through the overlay.
-	v := buildAbilene(t, 7)
+	v := buildAbilene(t, 7, 1)
 	// An external host (CNN in the paper) attached to New York.
 	cnnAddr := netip.MustParseAddr("64.236.16.20")
 	if _, err := v.AddNode("cnn", cnnAddr, netem.DETERProfile(), sched.Options{}); err != nil {
@@ -346,7 +348,7 @@ func TestEgressNATLifeOfAPacket(t *testing.T) {
 
 func TestVPNOptIn(t *testing.T) {
 	// An end host opts in via the VPN and pings an overlay node.
-	v := buildAbilene(t, 8)
+	v := buildAbilene(t, 8, 1)
 	clientPub := netip.MustParseAddr("128.112.93.81")
 	if _, err := v.AddNode("client", clientPub, netem.DETERProfile(), sched.Options{}); err != nil {
 		t.Fatal(err)
@@ -382,7 +384,7 @@ func TestVPNOptIn(t *testing.T) {
 	traffic.NewICMPHost(sea.Phys())
 	clientNode, _ := v.Net.Node("client")
 	h := traffic.NewICMPHost(clientNode)
-	p := h.StartPing(v.Loop(), traffic.PingConfig{
+	p := h.StartPing(traffic.PingConfig{
 		Src: clientOverlay, Dst: sea.TapAddr,
 		Interval: 500 * time.Millisecond, Count: 10})
 	v.Run(70 * time.Second)
@@ -398,7 +400,7 @@ func TestVPNOptIn(t *testing.T) {
 }
 
 func TestLifeOfPacketTrace(t *testing.T) {
-	v := buildAbilene(t, 9)
+	v := buildAbilene(t, 9, 1)
 	s := abileneSlice(t, v, SliceConfig{Name: "iias", CPUShare: 0.25, RT: true})
 	s.StartOSPF(time.Second, 3*time.Second)
 	v.Run(30 * time.Second)

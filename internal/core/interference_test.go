@@ -19,7 +19,8 @@ import (
 // baseline.
 func TestSharedLinkInterference(t *testing.T) {
 	build := func() (*VINI, *Slice, *Slice) {
-		v := New(21)
+		v := NewParallel(21, 1)
+		t.Cleanup(v.Close)
 		prof := netem.DETERProfile()
 		for i, n := range []string{"west", "east"} {
 			addr := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
@@ -77,7 +78,7 @@ func TestSharedLinkInterference(t *testing.T) {
 		be, _ := b.VirtualNode("east")
 		traffic.NewICMPHost(be.Phys())
 		h := traffic.NewICMPHost(bw.Phys())
-		p := h.StartPing(v.Loop(), traffic.PingConfig{Src: bw.TapAddr, Dst: be.TapAddr,
+		p := h.StartPing(traffic.PingConfig{Src: bw.TapAddr, Dst: be.TapAddr,
 			Interval: 100 * time.Millisecond, Count: 50})
 		v.Run(v.Loop().Now() + 10*time.Second)
 		if p.RTTs.N() == 0 {
@@ -96,7 +97,7 @@ func TestSharedLinkInterference(t *testing.T) {
 // TestVPNWrongKeyRejected: an attacker who knows the server address but
 // not the pre-shared key gets nothing into the overlay.
 func TestVPNWrongKeyRejected(t *testing.T) {
-	v := buildAbilene(t, 31)
+	v := buildAbilene(t, 31, 1)
 	clientPub := netip.MustParseAddr("128.112.93.82")
 	if _, err := v.AddNode("attacker", clientPub, netem.DETERProfile(), sched.Options{}); err != nil {
 		t.Fatal(err)
@@ -130,7 +131,7 @@ func TestVPNWrongKeyRejected(t *testing.T) {
 	traffic.NewICMPHost(sea.Phys())
 	att, _ := v.Net.Node("attacker")
 	h := traffic.NewICMPHost(att)
-	p := h.StartPing(v.Loop(), traffic.PingConfig{Src: overlayAddr, Dst: sea.TapAddr,
+	p := h.StartPing(traffic.PingConfig{Src: overlayAddr, Dst: sea.TapAddr,
 		Interval: 500 * time.Millisecond, Count: 6})
 	v.Run(v.Loop().Now() + 10*time.Second)
 	if p.RTTs.N() != 0 || vc.Received != 0 {
@@ -141,7 +142,7 @@ func TestVPNWrongKeyRejected(t *testing.T) {
 // TestEgressRequiresSetupOrder: registering a VPN client before enabling
 // the server fails cleanly, and double-enabling is rejected.
 func TestVPNSetupValidation(t *testing.T) {
-	v := buildAbilene(t, 32)
+	v := buildAbilene(t, 32, 1)
 	s := abileneSlice(t, v, SliceConfig{Name: "iias"})
 	wash, _ := s.VirtualNode("washington")
 	if err := wash.RegisterVPNClient(netip.MustParseAddr("10.1.0.87"), make([]byte, 32)); err == nil {
@@ -168,7 +169,8 @@ func TestVPNSetupValidation(t *testing.T) {
 // link with the Click shaper limits throughput across it even though
 // the physical link is gigabit.
 func TestVirtualLinkBandwidthShaping(t *testing.T) {
-	v := New(51)
+	v := NewParallel(51, 1)
+	t.Cleanup(v.Close)
 	prof := netem.DETERProfile()
 	for i, n := range []string{"a", "b"} {
 		addr := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})

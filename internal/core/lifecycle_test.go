@@ -15,7 +15,8 @@ import (
 // buildLine stands up a minimal west -- mid -- east substrate.
 func buildLine(t *testing.T, seed int64) *VINI {
 	t.Helper()
-	v := New(seed)
+	v := NewParallel(seed, 1)
+	t.Cleanup(v.Close)
 	for i, n := range []string{"west", "mid", "east"} {
 		a := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
 		if _, err := v.AddNode(n, a, netem.DETERProfile(), sched.Options{}); err != nil {
@@ -399,7 +400,8 @@ func TestDestroyReleasesEverything(t *testing.T) {
 }
 
 func TestReEmbedMovesVirtualLinkOffDeadPath(t *testing.T) {
-	v := New(1)
+	v := NewParallel(1, 1)
+	t.Cleanup(v.Close)
 	for i, n := range []string{"a", "b", "c"} {
 		addr := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
 		if _, err := v.AddNode(n, addr, netem.DETERProfile(), sched.Options{}); err != nil {

@@ -19,7 +19,8 @@ const migProbePort = 45000
 // from both ends, the migration target.
 func buildQuad(t *testing.T) *VINI {
 	t.Helper()
-	v := New(1)
+	v := NewParallel(1, 1)
+	t.Cleanup(v.Close)
 	for i, n := range []string{"west", "mid", "east", "spare"} {
 		a := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
 		if _, err := v.AddNode(n, a, netem.DETERProfile(), sched.Options{}); err != nil {
@@ -513,7 +514,8 @@ func TestMigrateNaiveBaseline(t *testing.T) {
 // ReEmbed must keep the stale pin (and the exposed failure) rather than
 // erase the embedding; healing the partition re-embeds normally.
 func TestReEmbedNoLivePathKeepsStalePin(t *testing.T) {
-	v := New(1)
+	v := NewParallel(1, 1)
+	t.Cleanup(v.Close)
 	for i, n := range []string{"a", "b"} {
 		addr := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
 		if _, err := v.AddNode(n, addr, netem.DETERProfile(), sched.Options{}); err != nil {
@@ -575,7 +577,8 @@ func TestReEmbedNoLivePathKeepsStalePin(t *testing.T) {
 // re-pinned path is picked up by the next ReEmbed — and when that
 // failure severs the last path, the pin survives stale.
 func TestReEmbedMidRepinLinkDeath(t *testing.T) {
-	v := New(1)
+	v := NewParallel(1, 1)
+	t.Cleanup(v.Close)
 	for i, n := range []string{"a", "b", "c"} {
 		addr := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
 		if _, err := v.AddNode(n, addr, netem.DETERProfile(), sched.Options{}); err != nil {

@@ -25,7 +25,7 @@ func findMetric(snap []telemetry.MetricValue, slice, node, name string) (telemet
 // element counters, substrate link counters, OSPF adjacency events,
 // route installs, and the convergence window around a link failure.
 func TestTelemetryCountersAndTimeline(t *testing.T) {
-	v := buildAbilene(t, 3)
+	v := buildAbilene(t, 3, 1)
 	tel := v.EnableTelemetry()
 	if v.EnableTelemetry() != tel {
 		t.Fatal("EnableTelemetry is not idempotent")
@@ -118,7 +118,7 @@ func TestTelemetryCountersAndTimeline(t *testing.T) {
 // on the egress node — the life-of-a-packet view, ordered by the
 // deterministic merge key.
 func TestTelemetryPacketPathTrace(t *testing.T) {
-	v := buildAbilene(t, 7)
+	v := buildAbilene(t, 7, 1)
 	tel := v.EnableTelemetry()
 	s := abileneSlice(t, v, SliceConfig{Name: "iias", CPUShare: 0.25, RT: true})
 	s.StartOSPF(time.Second, 3*time.Second)

@@ -51,9 +51,8 @@ type VirtualNode struct {
 	// still pending through the group.
 	clock sim.Clock
 	group *sim.TimerGroup
-	// ticks is a second group over the node's coarse tick clock (a
-	// per-node wheel in sharded mode, the domain itself in classic):
-	// periodic protocol timers (hellos, RIP updates) schedule here so
+	// ticks is a second group over the node's coarse tick clock (its
+	// per-node tick wheel): periodic protocol timers (hellos, RIP updates) schedule here so
 	// they coalesce into shared slot events, and teardown cancels them
 	// the same way as the main group's.
 	ticks *sim.TimerGroup

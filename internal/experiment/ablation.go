@@ -71,40 +71,51 @@ func CPUIsolationAblation(seed int64, duration time.Duration, pings int) ([]Isol
 	}
 	var out []IsolationRow
 	for _, cfg := range configs {
-		// Throughput leg.
-		v, chi, was := planetlabNet(seed)
-		s, err := planetlabSliceCustom(v, cfg.share, cfg.rt)
+		row, err := isolationRow(seed, cfg.name, cfg.share, cfg.rt, duration, pings)
 		if err != nil {
 			return nil, err
 		}
-		a, _ := s.VirtualNode(topology.Chicago)
-		b, _ := s.VirtualNode(topology.Washington)
-		test, err := traffic.StartIperfTCP(v.Net, chi, was, traffic.IperfTCPConfig{
-			Streams: 20, Window: 16 << 10, SrcAddr: a.TapAddr, DstAddr: b.TapAddr})
-		if err != nil {
-			return nil, err
-		}
-		v.Run(v.Loop().Now() + duration)
-		test.Stop()
-		row := IsolationRow{Name: cfg.name, Mbps: test.Mbps()}
-		// Latency leg (fresh deployment so the iperf load does not skew it).
-		v2, chi2, was2 := planetlabNet(seed + 1)
-		s2, err := planetlabSliceCustom(v2, cfg.share, cfg.rt)
-		if err != nil {
-			return nil, err
-		}
-		a2, _ := s2.VirtualNode(topology.Chicago)
-		b2, _ := s2.VirtualNode(topology.Washington)
-		traffic.NewICMPHost(was2)
-		h := traffic.NewICMPHost(chi2)
-		p := h.StartPing(v2.Loop(), traffic.PingConfig{Src: a2.TapAddr, Dst: b2.TapAddr,
-			Interval: 20 * time.Millisecond, Count: pings})
-		v2.Run(v2.Loop().Now() + time.Duration(pings)*20*time.Millisecond + 5*time.Second)
-		row.PingMdev = p.RTTs.Mdev()
-		row.PingMax = p.RTTs.Max()
 		out = append(out, row)
 	}
 	return out, nil
+}
+
+// isolationRow measures one CPUIsolationAblation configuration.
+func isolationRow(seed int64, name string, share float64, rt bool, duration time.Duration, pings int) (IsolationRow, error) {
+	// Throughput leg.
+	v, chi, was := planetlabNet(seed)
+	defer v.Close()
+	s, err := planetlabSliceCustom(v, share, rt)
+	if err != nil {
+		return IsolationRow{}, err
+	}
+	a, _ := s.VirtualNode(topology.Chicago)
+	b, _ := s.VirtualNode(topology.Washington)
+	test, err := traffic.StartIperfTCP(v.Net, chi, was, traffic.IperfTCPConfig{
+		Streams: 20, Window: 16 << 10, SrcAddr: a.TapAddr, DstAddr: b.TapAddr})
+	if err != nil {
+		return IsolationRow{}, err
+	}
+	v.Run(v.Loop().Now() + duration)
+	test.Stop()
+	row := IsolationRow{Name: name, Mbps: test.Mbps()}
+	// Latency leg (fresh deployment so the iperf load does not skew it).
+	v2, chi2, was2 := planetlabNet(seed + 1)
+	defer v2.Close()
+	s2, err := planetlabSliceCustom(v2, share, rt)
+	if err != nil {
+		return IsolationRow{}, err
+	}
+	a2, _ := s2.VirtualNode(topology.Chicago)
+	b2, _ := s2.VirtualNode(topology.Washington)
+	traffic.NewICMPHost(was2)
+	h := traffic.NewICMPHost(chi2)
+	p := h.StartPing(traffic.PingConfig{Src: a2.TapAddr, Dst: b2.TapAddr,
+		Interval: 20 * time.Millisecond, Count: pings})
+	v2.Run(v2.Loop().Now() + time.Duration(pings)*20*time.Millisecond + 5*time.Second)
+	row.PingMdev = p.RTTs.Mdev()
+	row.PingMax = p.RTTs.Max()
+	return row, nil
 }
 
 // BufferRow is one socket-buffer size's Figure-6 loss.
@@ -120,26 +131,37 @@ type BufferRow struct {
 func SocketBufferAblation(seed int64, bufsKB []int, duration time.Duration) ([]BufferRow, error) {
 	var out []BufferRow
 	for i, kb := range bufsKB {
-		prof := netemPlanetLabProfile()
-		prof.SocketBuf = kb << 10
-		v, chi, was := planetlabNetProf(seed+int64(i)*13, prof)
-		s, err := planetlabSliceCustom(v, 1.0/40, false)
+		loss, err := bufferLoss(seed+int64(i)*13, kb, duration)
 		if err != nil {
 			return nil, err
 		}
-		a, _ := s.VirtualNode(topology.Chicago)
-		b, _ := s.VirtualNode(topology.Washington)
-		test, err := traffic.StartUDPCBR(v.Net, chi, was, traffic.UDPCBRConfig{
-			RateBps: 45e6, SrcAddr: a.TapAddr, DstAddr: b.TapAddr})
-		if err != nil {
-			return nil, err
-		}
-		v.Run(v.Loop().Now() + duration)
-		test.Stop()
-		v.Run(v.Loop().Now() + 2*time.Second)
-		out = append(out, BufferRow{BufferKB: kb, LossPct: 100 * test.LossRate()})
+		out = append(out, BufferRow{BufferKB: kb, LossPct: loss})
 	}
 	return out, nil
+}
+
+// bufferLoss is one SocketBufferAblation point: the loss percentage
+// with a kb-KiB forwarder receive buffer.
+func bufferLoss(seed int64, kb int, duration time.Duration) (float64, error) {
+	prof := netemPlanetLabProfile()
+	prof.SocketBuf = kb << 10
+	v, chi, was := planetlabNetProf(seed, prof)
+	defer v.Close()
+	s, err := planetlabSliceCustom(v, 1.0/40, false)
+	if err != nil {
+		return 0, err
+	}
+	a, _ := s.VirtualNode(topology.Chicago)
+	b, _ := s.VirtualNode(topology.Washington)
+	test, err := traffic.StartUDPCBR(v.Net, chi, was, traffic.UDPCBRConfig{
+		RateBps: 45e6, SrcAddr: a.TapAddr, DstAddr: b.TapAddr})
+	if err != nil {
+		return 0, err
+	}
+	v.Run(v.Loop().Now() + duration)
+	test.Stop()
+	v.Run(v.Loop().Now() + 2*time.Second)
+	return 100 * test.LossRate(), nil
 }
 
 // PacketSizeRow is one payload size's forwarding capacity.
@@ -156,32 +178,40 @@ type PacketSizeRow struct {
 func PacketSizeAblation(seed int64, payloads []int, duration time.Duration) ([]PacketSizeRow, error) {
 	var out []PacketSizeRow
 	for i, size := range payloads {
-		v, src, _, dst := deterNet(seed + int64(i)*7)
-		s, err := deterIIAS(v)
+		received, err := saturate(seed+int64(i)*7, size, duration)
 		if err != nil {
 			return nil, err
 		}
-		a, _ := s.VirtualNode("src")
-		b, _ := s.VirtualNode("sink")
-		// Offered load far above capacity so the forwarder saturates.
-		test, err := traffic.StartUDPCBR(v.Net, src, dst, traffic.UDPCBRConfig{
-			RateBps: 900e6, Payload: size, SrcAddr: a.TapAddr, DstAddr: b.TapAddr})
-		if err != nil {
-			return nil, err
-		}
-		start := v.Loop().Now()
-		v.Run(start + duration)
-		test.Stop()
-		v.Run(v.Loop().Now() + time.Second)
 		secs := duration.Seconds()
-		mbps := float64(test.Received()) * float64(size+28) * 8 / secs / 1e6
 		out = append(out, PacketSizeRow{
 			PayloadBytes: size,
-			Mbps:         mbps,
-			KppsMeasured: float64(test.Received()) / secs / 1e3,
+			Mbps:         float64(received) * float64(size+28) * 8 / secs / 1e6,
+			KppsMeasured: float64(received) / secs / 1e3,
 		})
 	}
 	return out, nil
+}
+
+// saturate offers size-byte CBR far above the forwarder's capacity for
+// duration on a fresh DETER deployment and returns the packets received.
+func saturate(seed int64, size int, duration time.Duration) (uint32, error) {
+	v, src, _, dst := deterNet(seed)
+	defer v.Close()
+	s, err := deterIIAS(v)
+	if err != nil {
+		return 0, err
+	}
+	a, _ := s.VirtualNode("src")
+	b, _ := s.VirtualNode("sink")
+	test, err := traffic.StartUDPCBR(v.Net, src, dst, traffic.UDPCBRConfig{
+		RateBps: 900e6, Payload: size, SrcAddr: a.TapAddr, DstAddr: b.TapAddr})
+	if err != nil {
+		return 0, err
+	}
+	v.Run(v.Loop().Now() + duration)
+	test.Stop()
+	v.Run(v.Loop().Now() + time.Second)
+	return test.Received(), nil
 }
 
 // MuxRow compares external-session load with and without the mux.

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -126,17 +127,20 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestFigure6Shape(t *testing.T) {
+	// A 10 s window, as cmd/vinibench and EXPERIMENTS.md use: a shorter
+	// one samples too few scheduling-latency bursts for the 45 Mb/s
+	// loss to reflect the curve rather than where the RNG stream sits.
 	rates := []float64{5, 25, 45}
-	def, err := Figure6(2, ModeDefaultShare, rates, 5*time.Second)
+	def, err := Figure6(2, ModeDefaultShare, rates, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plv, err := Figure6(2, ModePLVINI, rates, 5*time.Second)
+	plv, err := Figure6(2, ModePLVINI, rates, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Paper 6(a): loss grows with rate up to ~14% at 45 Mb/s.
-	if def[2].LossPct < 4 {
+	if def[2].LossPct < 8 {
 		t.Fatalf("default-share loss at 45 Mb/s = %.2f%%, want >> 0", def[2].LossPct)
 	}
 	if def[0].LossPct > def[2].LossPct {
@@ -155,6 +159,7 @@ func TestFigure8Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.V.Close()
 	pts, err := e.Figure8()
 	if err != nil {
 		t.Fatal(err)
@@ -200,6 +205,7 @@ func TestFigure9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.V.Close()
 	arr, err := e.Figure9()
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +239,33 @@ func TestFigure9Shape(t *testing.T) {
 	// ...and makes clear progress afterwards.
 	if mbAt(49) < at10+2 {
 		t.Fatalf("no progress after recovery: %.2f -> %.2f MB", at10, mbAt(49))
+	}
+}
+
+// TestExperimentsReleaseWorkers: every world a paper driver, an
+// ablation or the spec runner builds is closed before it returns. A
+// world that has run and is not closed keeps a parked worker goroutine,
+// and that goroutine pins the whole world in memory.
+func TestExperimentsReleaseWorkers(t *testing.T) {
+	start := runtime.NumGoroutine()
+	if _, err := Table3(1, true, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Figure6(2, ModeDefaultShare, []float64{5, 25}, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PacketSizeAblation(1, []int{64}, 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := ParseSpec("topology line x y\nospf hello 1s dead 3s\nwarmup 5s\nduration 1s\nping x y interval 500ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sp.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != start {
+		t.Fatalf("%d goroutines after the experiments returned, %d before", n, start)
 	}
 }
 

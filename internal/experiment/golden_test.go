@@ -61,6 +61,7 @@ func TestFigure8Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.V.Close()
 	pts, err := e.Figure8()
 	if err != nil {
 		t.Fatal(err)

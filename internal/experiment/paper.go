@@ -93,7 +93,7 @@ type ArrivalPoint struct {
 // deterNet builds the three pc2800 machines of Figure 3 joined by
 // Gigabit Ethernet.
 func deterNet(seed int64) (*core.VINI, *netem.Node, *netem.Node, *netem.Node) {
-	v := core.New(seed)
+	v := core.NewParallel(seed, 1)
 	v.EnableTelemetry()
 	prof := netem.DETERProfile()
 	src, _ := v.AddNode("src", netip.MustParseAddr("192.168.1.1"), prof, sched.Options{})
@@ -138,6 +138,7 @@ func deterIIAS(v *core.VINI) (*core.Slice, error) {
 // forwarding-path CPU.
 func Table2(seed int64, overlay bool, duration time.Duration) (ThroughputResult, error) {
 	v, src, fwd, dst := deterNet(seed)
+	defer v.Close()
 	cfg := traffic.IperfTCPConfig{Streams: 20, Window: 64 << 10}
 	name := "Network"
 	var s *core.Slice
@@ -180,6 +181,7 @@ func Table2(seed int64, overlay bool, duration time.Duration) (ThroughputResult,
 // through the kernel or through IIAS.
 func Table3(seed int64, overlay bool, count int) (PingResult, error) {
 	v, src, _, dst := deterNet(seed)
+	defer v.Close()
 	pingSrc, pingDst := src.Addr(), dst.Addr()
 	name := "Network"
 	if overlay {
@@ -194,7 +196,7 @@ func Table3(seed int64, overlay bool, count int) (PingResult, error) {
 	}
 	traffic.NewICMPHost(dst)
 	h := traffic.NewICMPHost(src)
-	p := h.StartPing(v.Loop(), traffic.PingConfig{Src: pingSrc, Dst: pingDst,
+	p := h.StartPing(traffic.PingConfig{Src: pingSrc, Dst: pingDst,
 		Interval: time.Millisecond, Count: count})
 	v.Run(v.Loop().Now() + time.Duration(count+2000)*time.Millisecond)
 	return PingResult{Name: name,
@@ -215,7 +217,7 @@ func planetlabNet(seed int64) (*core.VINI, *netem.Node, *netem.Node) {
 // planetlabNetProf is planetlabNet with an explicit host profile (the
 // socket-buffer ablation varies it).
 func planetlabNetProf(seed int64, prof netem.Profile) (*core.VINI, *netem.Node, *netem.Node) {
-	v := core.New(seed)
+	v := core.NewParallel(seed, 1)
 	chi, _ := v.AddNode(topology.Chicago, netip.MustParseAddr("198.32.154.48"), prof, sched.Options{})
 	ny, _ := v.AddNode(topology.NewYork, netip.MustParseAddr("198.32.154.51"), prof, sched.Options{})
 	was, _ := v.AddNode(topology.Washington, netip.MustParseAddr("198.32.154.50"), prof, sched.Options{})
@@ -231,7 +233,7 @@ func planetlabNetProf(seed int64, prof netem.Profile) (*core.VINI, *netem.Node, 
 	rng := v.Loop().RNG()
 	for _, n := range []*netem.Node{chi, ny, was} {
 		for i := 0; i < 6; i++ {
-			sched.StartHog(v.Loop(), n.CPU, sched.HogConfig{
+			sched.StartHog(n.CPU, sched.HogConfig{
 				Name: fmt.Sprintf("slice%d", i), Share: 1.0 / 40,
 				MeanBusy: 150 * time.Millisecond, MeanIdle: 350 * time.Millisecond,
 				RNG: rng.Fork(),
@@ -284,6 +286,7 @@ func endpoints(v *core.VINI, s *core.Slice, mode Mode) (src, dst netip.Addr) {
 // Table4 reproduces the PlanetLab TCP throughput rows.
 func Table4(seed int64, mode Mode, duration time.Duration) (ThroughputResult, error) {
 	v, chi, was := planetlabNet(seed)
+	defer v.Close()
 	var s *core.Slice
 	var err error
 	if mode != ModeNative {
@@ -313,6 +316,7 @@ func Table4(seed int64, mode Mode, duration time.Duration) (ThroughputResult, er
 // Table5 reproduces the PlanetLab ping rows.
 func Table5(seed int64, mode Mode, count int) (PingResult, error) {
 	v, chi, was := planetlabNet(seed)
+	defer v.Close()
 	var s *core.Slice
 	var err error
 	if mode != ModeNative {
@@ -323,7 +327,7 @@ func Table5(seed int64, mode Mode, count int) (PingResult, error) {
 	srcA, dstA := endpoints(v, s, mode)
 	traffic.NewICMPHost(was)
 	h := traffic.NewICMPHost(chi)
-	p := h.StartPing(v.Loop(), traffic.PingConfig{Src: srcA, Dst: dstA,
+	p := h.StartPing(traffic.PingConfig{Src: srcA, Dst: dstA,
 		Interval: 20 * time.Millisecond, Count: count})
 	v.Run(v.Loop().Now() + time.Duration(count)*20*time.Millisecond + 5*time.Second)
 	return PingResult{Name: mode.String(),
@@ -337,22 +341,10 @@ func Table6(seed int64, mode Mode) (JitterResult, error) {
 	rates := []float64{1e6, 5e6, 10e6, 20e6, 50e6}
 	var pooled []float64
 	for i, rate := range rates {
-		v, chi, was := planetlabNet(seed + int64(i))
-		var s *core.Slice
-		var err error
-		if mode != ModeNative {
-			if s, err = planetlabSlice(v, mode); err != nil {
-				return JitterResult{}, err
-			}
-		}
-		srcA, dstA := endpoints(v, s, mode)
-		test, err := traffic.StartUDPCBR(v.Net, chi, was, traffic.UDPCBRConfig{
-			RateBps: rate, SrcAddr: srcA, DstAddr: dstA})
+		test, err := cbrRun(seed+int64(i), mode, rate, 10*time.Second, 0)
 		if err != nil {
 			return JitterResult{}, err
 		}
-		v.Run(v.Loop().Now() + 10*time.Second)
-		test.Stop()
 		pooled = append(pooled, test.Jitter())
 	}
 	var mean, ss float64
@@ -385,26 +377,38 @@ func sqrt(x float64) float64 {
 func Figure6(seed int64, mode Mode, ratesMbps []float64, duration time.Duration) ([]LossPoint, error) {
 	var out []LossPoint
 	for i, r := range ratesMbps {
-		v, chi, was := planetlabNet(seed + int64(i)*17)
-		var s *core.Slice
-		var err error
-		if mode != ModeNative {
-			if s, err = planetlabSlice(v, mode); err != nil {
-				return nil, err
-			}
-		}
-		srcA, dstA := endpoints(v, s, mode)
-		test, err := traffic.StartUDPCBR(v.Net, chi, was, traffic.UDPCBRConfig{
-			RateBps: r * 1e6, SrcAddr: srcA, DstAddr: dstA})
+		test, err := cbrRun(seed+int64(i)*17, mode, r*1e6, duration, 2*time.Second)
 		if err != nil {
 			return nil, err
 		}
-		v.Run(v.Loop().Now() + duration)
-		test.Stop()
-		v.Run(v.Loop().Now() + 2*time.Second)
 		out = append(out, LossPoint{RateMbps: r, LossPct: 100 * test.LossRate()})
 	}
 	return out, nil
+}
+
+// cbrRun sends UDP CBR at rateBps from Chicago to Washington for
+// duration on a fresh Figure 5 deployment, then lets drain more time
+// pass before closing the world and returning the stopped stream.
+func cbrRun(seed int64, mode Mode, rateBps float64, duration, drain time.Duration) (*traffic.UDPCBR, error) {
+	v, chi, was := planetlabNet(seed)
+	defer v.Close()
+	var s *core.Slice
+	var err error
+	if mode != ModeNative {
+		if s, err = planetlabSlice(v, mode); err != nil {
+			return nil, err
+		}
+	}
+	srcA, dstA := endpoints(v, s, mode)
+	test, err := traffic.StartUDPCBR(v.Net, chi, was, traffic.UDPCBRConfig{
+		RateBps: rateBps, SrcAddr: srcA, DstAddr: dstA})
+	if err != nil {
+		return nil, err
+	}
+	v.Run(v.Loop().Now() + duration)
+	test.Stop()
+	v.Run(v.Loop().Now() + drain)
+	return test, nil
 }
 
 // --- Intra-domain routing experiment (§5.2, Figures 7-9) ---
@@ -422,7 +426,8 @@ type AbileneExperiment struct {
 }
 
 // NewAbilene builds the experiment from the embedded Abilene router
-// configurations and runs until the overlay's OSPF converges.
+// configurations and runs until the overlay's OSPF converges. Close
+// e.V once the experiment is done with it.
 func NewAbilene(seed int64) (*AbileneExperiment, error) {
 	// Parse in sorted key order: BuildTopology numbers nodes (and so the
 	// executor numbers domains) in config order, and map iteration order
@@ -449,7 +454,7 @@ func NewAbilene(seed int64) (*AbileneExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := core.New(seed)
+	v := core.NewParallel(seed, 1)
 	v.EnableTelemetry()
 	for _, code := range g.Nodes() {
 		pop, _ := rcc.PopForCode(code)
@@ -495,6 +500,7 @@ func NewAbilene(seed int64) (*AbileneExperiment, error) {
 	v.Run(v.Loop().Now() + 60*time.Second)
 	dkc, ok := s.FindVirtualLink(topology.Denver, topology.KansasCity)
 	if !ok {
+		v.Close()
 		return nil, fmt.Errorf("no Denver-Kansas City virtual link")
 	}
 	return &AbileneExperiment{V: v, Slice: s, Hello: hello, Dead: dead, denverKC: dkc}, nil
@@ -520,7 +526,7 @@ func (e *AbileneExperiment) Figure8() ([]RTTPoint, error) {
 	t0 := v.Loop().Now()
 	v.Loop().Schedule(10*time.Second, func() { e.denverKC.SetFailed(true) })
 	v.Loop().Schedule(34*time.Second, func() { e.denverKC.SetFailed(false) })
-	p := h.StartPing(v.Loop(), traffic.PingConfig{
+	p := h.StartPing(traffic.PingConfig{
 		Src: wash.TapAddr, Dst: sea.TapAddr,
 		Interval: 200 * time.Millisecond, Count: 250,
 		Timeout: 1500 * time.Millisecond})

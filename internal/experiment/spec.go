@@ -362,7 +362,8 @@ type RateTracePoint struct {
 
 // Run executes the specification and returns its measurements.
 func (sp *Spec) Run() (*Result, error) {
-	v := core.New(sp.Seed)
+	v := core.NewParallel(sp.Seed, 1)
+	defer v.Close()
 	var g *topology.Graph
 	switch sp.Topology {
 	case "abilene":
@@ -540,7 +541,7 @@ func (sp *Spec) Run() (*Result, error) {
 		case "ping":
 			hostFor(dst.Phys())
 			h := hostFor(src.Phys())
-			p := h.StartPing(v.Loop(), traffic.PingConfig{
+			p := h.StartPing(traffic.PingConfig{
 				Src: src.TapAddr, Dst: dst.TapAddr, Interval: ts.Interval,
 				Count: int(sp.Duration/ts.Interval) + 1})
 			pings = append(pings, pingHandle{ts, p})

@@ -22,7 +22,7 @@ func TestCrossDomainPacketPathAllocs(t *testing.T) {
 	x := sim.NewExecutor(21, 1)
 	defer x.Shutdown()
 	loop := x.Loop()
-	w := NewSharded(loop)
+	w := New(loop)
 	aAddr := netip.MustParseAddr("192.168.0.1")
 	bAddr := netip.MustParseAddr("192.168.0.2")
 	a, err := w.AddNode("a", aAddr, DETERProfile(), sched.Options{})

@@ -37,21 +37,18 @@ type Link struct {
 type linkDir struct {
 	link *Link
 	// dst is the receiving node of this direction (the typed delivery
-	// handler target in sharded mode).
+	// handler target).
 	dst *Node
-	// rng draws per-packet jitter. In classic mode this aliases the
-	// network RNG (preserving the historical draw sequence); in sharded
-	// mode each direction owns a forked stream, since transmit runs in
-	// the source node's domain.
+	// rng draws per-packet jitter from this direction's own forked
+	// stream, since transmit runs in the source node's domain.
 	rng *sim.RNG
 	// busyUntil is when the transmitter finishes the current queue.
 	busyUntil time.Duration
 	// queued tracks bytes committed but not yet serialized.
 	queued int
-	// pend records in-flight (arrival, size) pairs in sharded mode; the
-	// transmit path purges due entries lazily instead of scheduling one
-	// queue-drain event per packet. pendHead is the ring's consumed
-	// prefix.
+	// pend records in-flight (arrival, size) pairs; the transmit path
+	// purges due entries lazily instead of scheduling one queue-drain
+	// event per packet. pendHead is the ring's consumed prefix.
 	pend     []drainRec
 	pendHead int
 	// Drops counts queue-overflow losses.
@@ -173,30 +170,26 @@ func (l *Link) Stats(dir int) (packets, bytes, drops uint64) {
 // transmit sends p from node src across the link. It models a FIFO
 // drop-tail queue ahead of a fixed-rate serializer plus propagation
 // delay, then hands the packet to the far node's receive path. It runs
-// in src's time domain; when the far node lives in a different domain
-// the arrival becomes a timestamped mailbox message, which is the only
-// way simulated state ever crosses domains.
+// in src's time domain; the arrival becomes a timestamped mailbox
+// message into the far node's domain, which is the only way simulated
+// state ever crosses domains.
 func (l *Link) transmit(src *Node, p *packet.Packet) {
 	if l.down {
 		p.Release()
 		return
 	}
 	var d *linkDir
-	var dst *Node
 	switch src {
 	case l.a:
-		d, dst = l.dir[0], l.b
+		d = l.dir[0]
 	case l.b:
-		d, dst = l.dir[1], l.a
+		d = l.dir[1]
 	default:
 		panic("netem: transmit from node not on link")
 	}
 	now := src.dom.Now()
-	if src.dom != dst.dom {
-		// Sharded: apply queue drains that came due before this
-		// transmit (they ran as their own events on the classic path).
-		d.purge(now)
-	}
+	// Apply the queue drains that came due before this transmit.
+	d.purge(now)
 	if d.busyUntil < now {
 		d.busyUntil = now
 		d.queued = 0
@@ -226,27 +219,12 @@ func (l *Link) transmit(src *Node, p *packet.Packet) {
 		arrival = d.lastArrival
 	}
 	d.lastArrival = arrival
-	size := p.Len()
-	if src.dom == dst.dom {
-		src.dom.Schedule(arrival-now, func() {
-			d.queued -= size
-			if d.queued < 0 {
-				d.queued = 0
-			}
-			if l.down {
-				p.Release() // failed while in flight
-				return
-			}
-			dst.receive(p, l)
-		})
-		return
-	}
-	// Sharded: the transmitter state (d.queued) belongs to src's domain
-	// and the receive path to dst's. The queue drain is recorded for
-	// lazy application at the next transmit (no event at all), and the
-	// delivery rides a typed message train — one pooled event in dst,
-	// zero allocations, one inbox lock per flushed train rather than
-	// per packet. Ownership of p transfers with the message.
-	d.pend = append(d.pend, drainRec{at: arrival, size: size})
-	src.dom.Send(dst.dom, arrival-now, d, p)
+	// The transmitter state (d.queued) belongs to src's domain and the
+	// receive path to d.dst's. The queue drain is recorded for lazy
+	// application at the next transmit (no event at all), and the
+	// delivery rides a typed message train — one pooled event in d.dst,
+	// zero allocations, one inbox lock per flushed train rather than per
+	// packet. Ownership of p transfers with the message.
+	d.pend = append(d.pend, drainRec{at: arrival, size: p.Len()})
+	src.dom.Send(d.dst.dom, arrival-now, d, p)
 }

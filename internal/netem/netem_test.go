@@ -60,11 +60,25 @@ func TestKernelForwardingDelivers(t *testing.T) {
 	}
 }
 
+// TestAddLinkRejectsSelfLink: a link's two directions must live in two
+// node domains (transmit always hands the packet across), so a link
+// from a node to itself is refused, not built.
+func TestAddLinkRejectsSelfLink(t *testing.T) {
+	w, src, _, _ := threeNodeNet(t, DETERProfile(), 1e9, 100*time.Microsecond)
+	links := len(w.Links())
+	if _, err := w.AddLink(LinkConfig{A: "src", B: "src", Bandwidth: 1e9}); err == nil {
+		t.Fatal("self-link on src admitted")
+	}
+	if len(w.Links()) != links || len(src.links) != 1 {
+		t.Fatalf("rejected self-link left state behind: %d links, src has %d", len(w.Links()), len(src.links))
+	}
+}
+
 func TestLatencyMatchesLinkModel(t *testing.T) {
 	prof := DETERProfile()
 	w, src, _, dst := threeNodeNet(t, prof, 1e9, 100*time.Microsecond)
 	var arrived time.Duration
-	dst.StackListenUDP(7000, func(d []byte) { arrived = w.Loop().Now() })
+	dst.StackListenUDP(7000, func(d []byte) { arrived = dst.Clock().Now() })
 	payload := make([]byte, 1000-packet.IPv4HeaderLen-packet.UDPHeaderLen)
 	d := packet.BuildUDP(src.Addr(), dst.Addr(), 5000, 7000, 64, payload)
 	src.StackSend(d)
@@ -170,7 +184,7 @@ func TestProcessSocketAndCost(t *testing.T) {
 	proc := fwd.NewProcess(ProcessConfig{Name: "click", Share: 0.25})
 	var handled []time.Duration
 	if _, err := proc.OpenUDP(33000, func(p *packet.Packet) {
-		handled = append(handled, w.Loop().Now())
+		handled = append(handled, fwd.Clock().Now())
 	}); err != nil {
 		t.Fatal(err)
 	}

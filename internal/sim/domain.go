@@ -408,7 +408,7 @@ func (d *Domain) recycle(ev *event) {
 
 // less orders events by the deterministic merge key (time, origin
 // domain, origin sequence). With a single domain this degenerates to
-// the classic (time, sequence) order.
+// (time, sequence) order.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at

@@ -125,6 +125,8 @@ type Executor struct {
 	nworkers int
 	deques   []*deque
 	quit     atomic.Bool
+	// running tracks live worker goroutines so Shutdown can wait them out.
+	running sync.WaitGroup
 
 	parkMu   sync.Mutex
 	parkCond *sync.Cond
@@ -144,11 +146,11 @@ type Executor struct {
 	fallbacks uint64
 
 	// transport is the cross-shard seam: an in-process no-op by default,
-	// replaced by Distribute for sharded runs. shard/shards identify this
+	// replaced by Distribute for sharded runs. myShard/shards identify this
 	// process's slice of the domain space; terr is the sticky transport
 	// error that aborted the last Run, if any.
 	transport DomainTransport
-	shard     int
+	myShard   int
 	shards    int
 	terr      error
 
@@ -169,8 +171,6 @@ type Executor struct {
 
 // NewExecutor returns an executor with the given worker budget and its
 // control domain (id 0) already created, seeded like NewLoop(seed).
-// NewExecutor(seed, 1).Loop() is behaviorally identical to the classic
-// single loop.
 func NewExecutor(seed int64, workers int) *Executor {
 	if workers < 1 {
 		workers = 1
@@ -184,8 +184,8 @@ func NewExecutor(seed int64, workers int) *Executor {
 	return x
 }
 
-// Loop returns the control-domain façade, which preserves the classic
-// sim.Loop API (Run, RunAll, Step, Schedule on the control timeline).
+// Loop returns the control-domain façade: the sim.Loop API (Run,
+// RunAll, Step, Schedule on the control timeline).
 func (x *Executor) Loop() *Loop { return x.loop }
 
 // Workers returns the configured worker budget.
@@ -201,7 +201,7 @@ func (x *Executor) NewDomain(label string) *Domain {
 		lookIn: maxTime}
 	d.inboxMin.Store(int64(maxTime))
 	if x.shards > 1 {
-		d.remote = OwnerShard(d.id, x.shards) != x.shard
+		d.remote = OwnerShard(d.id, x.shards) != x.myShard
 	}
 	x.domains = append(x.domains, d)
 	return d
@@ -309,9 +309,10 @@ func (x *Executor) Pending() int {
 	return n
 }
 
-// Shutdown releases the worker goroutines. The executor remains usable
-// for single-domain stepping but must not Run multi-domain again.
-// Idempotent; harmless on never-started executors.
+// Shutdown releases the worker goroutines and returns once they have
+// exited. The executor remains usable for single-domain stepping but
+// must not Run multi-domain again. Idempotent; harmless on never-started
+// executors.
 func (x *Executor) Shutdown() {
 	if x.started && !x.closed {
 		x.closed = true
@@ -319,13 +320,13 @@ func (x *Executor) Shutdown() {
 		x.parkMu.Lock()
 		x.parkCond.Broadcast()
 		x.parkMu.Unlock()
+		x.running.Wait()
 	}
 }
 
 // Run executes events until every domain's next event lies beyond
 // until, or Stop is called. Virtual time in every domain is advanced to
-// until when its work drains first, mirroring the classic Loop.Run
-// contract. In a sharded run the returned error is the typed
+// until when its work drains first (the Loop.Run contract). In a sharded run the returned error is the typed
 // TransportError that aborted the superstep protocol (a peer died,
 // timed out, or desynchronized); single-process runs never fail.
 func (x *Executor) Run(until time.Duration) error {
@@ -398,6 +399,7 @@ func (x *Executor) ensureWorkers() {
 	}
 	x.parkCond = sync.NewCond(&x.parkMu)
 	x.quietCh = make(chan struct{}, 1)
+	x.running.Add(n)
 	for i := 0; i < n; i++ {
 		go x.worker(i)
 	}
@@ -557,6 +559,7 @@ func (x *Executor) anyQueued() bool {
 }
 
 func (x *Executor) worker(id int) {
+	defer x.running.Done()
 	my := x.deques[id]
 	spins := 0
 	for {

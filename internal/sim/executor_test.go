@@ -78,7 +78,7 @@ func TestExecutorWorkerParity(t *testing.T) {
 }
 
 // TestExecutorRunAdvancesClocks: after Run(until), every domain clock
-// sits at until, like the classic Loop.Run contract.
+// sits at until, like the Loop.Run contract.
 func TestExecutorRunAdvancesClocks(t *testing.T) {
 	x := NewExecutor(1, 2)
 	defer x.Shutdown()
@@ -249,7 +249,7 @@ func TestZeroLookaheadFallback(t *testing.T) {
 }
 
 // TestSingleDomainDigestStable: the schedule digest is also maintained
-// on the classic single-domain path, and replays identically.
+// on the single-domain (NewLoop) path, and replays identically.
 func TestSingleDomainDigestStable(t *testing.T) {
 	run := func() uint64 {
 		l := NewLoop(99)

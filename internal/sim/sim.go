@@ -10,12 +10,12 @@
 // are byte-identical regardless of GOMAXPROCS or thread interleaving.
 // See Executor for the synchronization algorithm.
 //
-// Loop is the classic single-timeline façade: NewLoop returns a
-// one-domain executor whose behavior is identical to the historical
-// global loop, and all simulated components written against the Clock
-// interface run unmodified inside a Domain, on a Loop, or on a real
-// clock (see RealClock, which is how the live overlay in
-// internal/overlay reuses the protocol implementations).
+// Loop is the control-domain façade over an Executor (NewLoop returns a
+// one-domain executor, the single timeline protocol unit tests run on),
+// and all simulated components written against the Clock interface run
+// unmodified inside a Domain, on a Loop, or on a real clock (see
+// RealClock, which is how the live overlay in internal/overlay reuses
+// the protocol implementations).
 //
 // Each domain's event queue is a typed 4-ary min-heap over *event (no
 // interface boxing, better cache locality than binary for pop-heavy

@@ -167,7 +167,7 @@ func (x *Executor) Distribute(t DomainTransport, shard, shards int) {
 		t = inprocTransport{}
 	}
 	x.transport = t
-	x.shard, x.shards = shard, shards
+	x.myShard, x.shards = shard, shards
 	for _, d := range x.domains[1:] {
 		d.remote = OwnerShard(d.id, shards) != shard
 	}
@@ -175,7 +175,7 @@ func (x *Executor) Distribute(t DomainTransport, shard, shards int) {
 
 // Shard returns this executor's shard index and the total shard count
 // (0, 1 when not distributed).
-func (x *Executor) Shard() (shard, shards int) { return x.shard, x.shards }
+func (x *Executor) Shard() (shard, shards int) { return x.myShard, x.shards }
 
 // Err returns the sticky transport error that aborted a Run, if any.
 func (x *Executor) Err() error { return x.terr }

@@ -74,22 +74,19 @@ type world struct {
 	baseline packet.PoolStats
 }
 
-// newWorld builds an empty infrastructure. Workers = 0 runs the classic
-// single-timeline loop; >= 1 shards every node into its own time domain
-// executed by that many workers. Telemetry runs in every regime so the
-// parity property also pins the metrics registry and flight recorder.
+// newWorld builds an empty infrastructure whose nodes each run in their
+// own time domain, executed by that many workers (at least one).
+// Telemetry runs in every regime so the parity property also pins the
+// metrics registry and flight recorder.
 //
 // The conservation baseline is taken here, before the loop ever runs:
 // at this instant the world has no packet in flight, and deltas from
 // here cancel out whatever earlier worlds in the same process left
 // behind.
 func newWorld(seed int64, workers int, rep *Report) *world {
-	v := core.New(seed)
-	if workers > 0 {
-		v = core.NewParallel(seed, workers)
-	}
+	v := core.NewParallel(seed, workers)
 	v.EnableTelemetry()
-	rep.Seed, rep.Workers = seed, workers
+	rep.Seed, rep.Workers = seed, v.Executor().Workers()
 	return &world{vini: v, loop: v.Loop(), rng: sim.NewRNG(seed), rep: rep,
 		digest: fnv.New64a(), baseline: packet.Stats()}
 }

@@ -24,7 +24,7 @@ type MigrateOptions struct {
 	Seed int64
 	// Rounds is the number of migration rounds (default 4).
 	Rounds int
-	// Workers selects the execution engine, exactly as in Options.
+	// Workers is the executor's worker budget, exactly as in Options.
 	Workers int
 	// Sabotage disables duplicate suppression on every shadow — the
 	// mutation hook proving the exactly-once checker has teeth. A

@@ -14,7 +14,7 @@ func runMigrate(seed int64, workers int) (*MigrateResult, error) {
 // substrate link flaps, and Pause/Resume/Destroy churn must lose no
 // in-flight packet (clean rounds), deliver no duplicates (every round),
 // keep the pool and resource ledgers balanced, and produce
-// byte-identical digests for 1-worker and 4-worker sharded execution.
+// byte-identical digests for 1-worker and 4-worker execution.
 // CI runs it under -race at GOMAXPROCS 1 and 4.
 func TestMigrateLossless(t *testing.T) {
 	first, n := sweep(15, 4)
@@ -37,20 +37,11 @@ func TestMigrateLossless(t *testing.T) {
 	}
 }
 
-// TestMigrateClassic runs the regime on the classic single-timeline
-// engine (Workers=0), a different deterministic baseline.
-func TestMigrateClassic(t *testing.T) {
-	first, n := sweep(6, 2)
-	for s := first; s < first+n; s++ {
-		run(t, s, 0, runMigrate)
-	}
-}
-
 // TestMigrateReplayDeterminism: the same migration seed run twice must
 // match in every digest.
 func TestMigrateReplayDeterminism(t *testing.T) {
 	for s := int64(1); s <= 3; s++ {
-		parity(t, s, []int{0, 0}, runMigrate)
+		parity(t, s, []int{1, 1}, runMigrate)
 	}
 }
 

@@ -3,7 +3,7 @@ package simtest
 import "testing"
 
 // TestWorkerParity is the parallel-executor property test: for each
-// seed, running the sharded engine with 1 worker and with 4 workers
+// seed, running the executor with 1 worker and with 4 workers
 // must produce the same digest bundle — the same scenario digest
 // (which folds every quiescent FIB fingerprint), the same executed
 // event schedule (every fired event's merge key, in order), and the
@@ -20,10 +20,9 @@ func TestWorkerParity(t *testing.T) {
 	}
 }
 
-// TestShardedReplayDeterminism: the sharded engine is a different
-// deterministic baseline from the classic loop (domain RNG streams fork
-// per node), so replaying the same sharded configuration must be exact
-// in its own right.
+// TestShardedReplayDeterminism: replaying the same 4-worker
+// configuration must be exact in its own right, whatever the workers'
+// interleaving (TestReplayDeterminism is the 1-worker counterpart).
 func TestShardedReplayDeterminism(t *testing.T) {
 	for s := int64(1); s <= 5; s++ {
 		parity(t, s, []int{4, 4}, runScenario)

@@ -2,7 +2,7 @@ package simtest
 
 import "testing"
 
-// TestScaleScenario runs the pinned scale regime on the classic engine:
+// TestScaleScenario runs the pinned scale regime on one worker:
 // 200 slices — well past the old 126-slice ceiling — embedded on a
 // 64-node synthetic REPETITA substrate, converged, flapped, loaded with
 // demand traffic, churned, and audited. -short trims to 24 nodes / 60
@@ -12,7 +12,7 @@ func TestScaleScenario(t *testing.T) {
 	if *flagSeed >= 0 {
 		seed = *flagSeed
 	}
-	r := run(t, seed, 0, func(seed int64, workers int) (*ScaleResult, error) {
+	r := run(t, seed, 1, func(seed int64, workers int) (*ScaleResult, error) {
 		opts := ScaleOptions{Seed: seed, Workers: workers}
 		if testing.Short() {
 			opts.Nodes, opts.Slices = 24, 60

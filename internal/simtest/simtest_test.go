@@ -18,7 +18,7 @@ func runScenario(seed int64, workers int) (*Result, error) {
 func TestScenarios(t *testing.T) {
 	first, n := sweep(int64(*flagSeeds), int64(*flagSeeds))
 	for s := first; s < first+n; s++ {
-		r := run(t, s, 0, runScenario)
+		r := run(t, s, 1, runScenario)
 		if testing.Verbose() {
 			t.Logf("seed %d: nodes=%d links=%d rip=%v events=%d reconv=%v digest=%016x",
 				s, r.Nodes, r.Links, r.WithRIP, len(r.EventLog), r.Reconvergences, r.Digest)
@@ -26,13 +26,13 @@ func TestScenarios(t *testing.T) {
 	}
 }
 
-// TestReplayDeterminism runs the same seeds twice on the classic engine
-// and demands byte-identical digest bundles: the scenario digest covers
+// TestReplayDeterminism runs the same seeds twice on one worker and
+// demands byte-identical digest bundles: the scenario digest covers
 // the event schedule, every quiescent FIB fingerprint, and every
 // violation, so equality means the whole run replays exactly.
 func TestReplayDeterminism(t *testing.T) {
 	for s := int64(1); s <= 5; s++ {
-		parity(t, s, []int{0, 0}, runScenario)
+		parity(t, s, []int{1, 1}, runScenario)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestReconvergenceBounded(t *testing.T) {
 // violation whatever its caller does with the returned flag.
 func TestQuiesceWithoutFixedPoint(t *testing.T) {
 	var rep Report
-	w := newWorld(1, 0, &rep)
+	w := newWorld(1, 1, &rep)
 	defer w.vini.Close()
 	n := uint64(0)
 	if _, ok := w.quiesce("moving", func() uint64 { n++; return n }, 10*time.Second, 3); ok {

@@ -15,6 +15,7 @@
 // Quick start:
 //
 //	v := vini.New(1)
+//	defer v.Close()
 //	v.AddNode("a", netip.MustParseAddr("198.51.100.1"), vini.PlanetLabProfile(), vini.SchedOptions{})
 //	v.AddNode("b", netip.MustParseAddr("198.51.100.2"), vini.PlanetLabProfile(), vini.SchedOptions{})
 //	v.AddLink(vini.LinkConfig{A: "a", B: "b", Bandwidth: 1e9, Delay: 5 * time.Millisecond})
@@ -68,8 +69,9 @@ type (
 	Spec = experiment.Spec
 )
 
-// New creates an infrastructure on a deterministic event loop.
-func New(seed int64) *VINI { return core.New(seed) }
+// New creates an infrastructure on a deterministic executor with one
+// worker. Close it once it has run.
+func New(seed int64) *VINI { return core.NewParallel(seed, 1) }
 
 // DETERProfile is the dedicated-testbed host model (2.8 GHz Xeon).
 func DETERProfile() Profile { return netem.DETERProfile() }

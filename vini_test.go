@@ -14,6 +14,7 @@ import (
 // end: build a substrate, embed a slice, converge OSPF, verify routes.
 func TestFacadeQuickstart(t *testing.T) {
 	v := vini.New(1)
+	defer v.Close()
 	for i, name := range []string{"a", "b", "c"} {
 		addr := netip.AddrFrom4([4]byte{198, 51, 100, byte(i + 1)})
 		if _, err := v.AddNode(name, addr, vini.PlanetLabProfile(), vini.SchedOptions{}); err != nil {
@@ -58,6 +59,7 @@ func TestFacadeAbileneHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer v.Close()
 	s, err := vini.MirrorAbilene(v, vini.SliceConfig{Name: "mirror", CPUShare: 0.25, RT: true},
 		time.Second, 3*time.Second)
 	if err != nil {
@@ -68,7 +70,7 @@ func TestFacadeAbileneHelpers(t *testing.T) {
 	sea, _ := s.VirtualNode(topology.Seattle)
 	traffic.NewICMPHost(sea.Phys())
 	h := traffic.NewICMPHost(wash.Phys())
-	p := h.StartPing(v.Loop(), traffic.PingConfig{Src: wash.TapAddr, Dst: sea.TapAddr,
+	p := h.StartPing(traffic.PingConfig{Src: wash.TapAddr, Dst: sea.TapAddr,
 		Interval: 500 * time.Millisecond, Count: 10})
 	v.Run(v.Loop().Now() + 10*time.Second)
 	if p.LossRate() != 0 {
