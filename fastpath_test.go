@@ -8,9 +8,9 @@ package vini_test
 
 import (
 	"net/netip"
-	"runtime/debug"
 	"testing"
 
+	"vini/internal/allocguard"
 	"vini/internal/click"
 	"vini/internal/fib"
 	"vini/internal/packet"
@@ -81,12 +81,7 @@ func TestForwardingFastPathZeroAlloc(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		forward()
 	}
-	// GC during measurement would drain the sync.Pool and charge the
-	// refill to the forwarding path; disable it for a deterministic count.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(200, forward); allocs != 0 {
-		t.Fatalf("forwarding fast path: %.1f allocs/packet, want 0", allocs)
-	}
+	allocguard.PerPacket(t, "forwarding fast path", 200, 1, 0, forward)
 	if tun.sent == 0 {
 		t.Fatal("no packets reached the tunnel transport")
 	}
@@ -152,13 +147,8 @@ func TestInstrumentedFastPathZeroAlloc(t *testing.T) {
 		forward(0)
 		forward(telemetry.TracePaint)
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(200, func() { forward(0) }); allocs != 0 {
-		t.Fatalf("instrumented fast path (unpainted): %.1f allocs/packet, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { forward(telemetry.TracePaint) }); allocs != 0 {
-		t.Fatalf("instrumented fast path (painted): %.1f allocs/packet, want 0", allocs)
-	}
+	allocguard.PerPacket(t, "instrumented fast path (unpainted)", 200, 1, 0, func() { forward(0) })
+	allocguard.PerPacket(t, "instrumented fast path (painted)", 200, 1, 0, func() { forward(telemetry.TracePaint) })
 	if tun.sent == 0 {
 		t.Fatal("no packets reached the tunnel transport")
 	}
@@ -212,10 +202,7 @@ func TestNAPTEgressZeroAlloc(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		egress()
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if allocs := testing.AllocsPerRun(200, egress); allocs != 0 {
-		t.Fatalf("NAPT egress path: %.1f allocs/packet, want 0", allocs)
-	}
+	allocguard.PerPacket(t, "NAPT egress path", 200, 1, 0, egress)
 	if ext.sent == 0 {
 		t.Fatal("no packets reached the external sink")
 	}

@@ -70,11 +70,9 @@ func (vn *VirtualNode) EnableEgress() error {
 type externalSink VirtualNode
 
 func (t *externalSink) SendExternal(p *packet.Packet) {
-	vn := (*VirtualNode)(t)
-	// The substrate send wraps p.Data in a new packet; the buffer leaves
-	// the pool with it.
-	p.Escape()
-	vn.proc.SendIP(p.Data)
+	// The post-NAT packet itself goes to the substrate, pooled buffer
+	// and all.
+	(*VirtualNode)(t).proc.SendIPPacket(p)
 }
 
 // vpnSession is one opted-in client on an ingress node.

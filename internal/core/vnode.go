@@ -463,12 +463,9 @@ func (t *tunnelTransport) SendTunnel(e fib.EncapEntry, p *packet.Packet) {
 type tapSink VirtualNode
 
 func (t *tapSink) DeliverTap(p *packet.Packet) {
-	vn := (*VirtualNode)(t)
-	// InjectLocal wraps p.Data in a fresh packet that local consumers may
-	// retain, so this buffer must not return to the pool (Escape, not
-	// Release — releasing would recycle memory the kernel now aliases).
-	p.Escape()
-	vn.phys.InjectLocal(p.Data)
+	// The pooled packet itself goes to kernel delivery, which lends its
+	// buffer to the local consumer and releases it afterwards.
+	(*VirtualNode)(t).phys.InjectLocalPacket(p)
 }
 
 // DumpFIB renders the virtual node's forwarding table.

@@ -9,7 +9,8 @@ package fea
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"vini/internal/fib"
@@ -117,11 +118,27 @@ func (r *RIB) recompute() int {
 	for _, pr := range best {
 		routes = append(routes, pr.Route)
 	}
-	sort.Slice(routes, func(i, j int) bool {
-		return routes[i].Prefix.String() < routes[j].Prefix.String()
-	})
+	sortByPrefixText(routes)
 	r.target.Replace("rib", routes)
 	return len(routes)
+}
+
+// sortByPrefixText orders routes by Prefix.String — the order the FIB
+// contents and digests depend on — rendering each key once rather than
+// twice per comparison. Prefixes are distinct, so the order is total.
+func sortByPrefixText(routes []fib.Route) {
+	type keyed struct {
+		key string
+		r   fib.Route
+	}
+	ks := make([]keyed, len(routes))
+	for i, rt := range routes {
+		ks[i] = keyed{rt.Prefix.String(), rt}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i := range ks {
+		routes[i] = ks[i].r
+	}
 }
 
 func (r *RIB) better(pr, other protoRoute) bool {

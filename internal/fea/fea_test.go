@@ -1,7 +1,9 @@
 package fea
 
 import (
+	"math/rand"
 	"net/netip"
+	"sort"
 	"testing"
 
 	"vini/internal/fib"
@@ -113,5 +115,47 @@ func TestPreferOverridesDistance(t *testing.T) {
 	r, _ = tbl.Lookup(addr("10.1.0.1"))
 	if r.Proto != "ospf" {
 		t.Fatalf("normal selection failed: %+v", r)
+	}
+}
+
+// TestPrefixTextOrderMatchesString pins sortByPrefixText to the order
+// the RIB has always installed routes in — sorting by Prefix.String —
+// on random prefix sets that mix prefix lengths and octet widths, where
+// text order and numeric order disagree (10.0.10.0/24 < 10.0.2.0/24).
+func TestPrefixTextOrderMatchesString(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	octet := func() byte {
+		switch rng.Intn(3) {
+		case 0:
+			return byte(rng.Intn(10))
+		case 1:
+			return byte(10 + rng.Intn(90))
+		default:
+			return byte(100 + rng.Intn(156))
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		seen := make(map[netip.Prefix]bool)
+		var routes []fib.Route
+		for len(routes) < 1+rng.Intn(60) {
+			a := netip.AddrFrom4([4]byte{octet(), octet(), octet(), octet()})
+			p := netip.PrefixFrom(a, rng.Intn(33)).Masked()
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			routes = append(routes, fib.Route{Prefix: p, OutPort: len(routes)})
+		}
+		want := append([]fib.Route(nil), routes...)
+		sort.Slice(want, func(i, j int) bool {
+			return want[i].Prefix.String() < want[j].Prefix.String()
+		})
+		sortByPrefixText(routes)
+		for i := range want {
+			if routes[i] != want[i] {
+				t.Fatalf("trial %d: position %d holds %v, String order wants %v",
+					trial, i, routes[i].Prefix, want[i].Prefix)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vini/internal/allocguard"
 	"vini/internal/fib"
 	"vini/internal/packet"
 	"vini/internal/sched"
@@ -15,9 +16,8 @@ import (
 // allocation-free in steady state: locally-originated forward at the
 // source node → typed transmit event → link serialization with lazy
 // queue drain → cross-domain message train → typed delivery → kernel
-// route lookup at the far node → drop (no route). The drop exit is used
-// deliberately — local delivery Escapes the buffer to the consumer,
-// which allocates by design; the forwarding fabric itself must not.
+// route lookup at the far node → drop (no route). Local delivery is
+// guarded end to end by the workload guards in internal/core.
 func TestCrossDomainPacketPathAllocs(t *testing.T) {
 	x := sim.NewExecutor(21, 1)
 	defer x.Shutdown()
@@ -63,12 +63,8 @@ func TestCrossDomainPacketPathAllocs(t *testing.T) {
 		cycle() // warm pools, caches, trains, heaps
 	}
 	dropsBefore := w.MustNode("b").Drops
-	avg := testing.AllocsPerRun(50, cycle)
+	allocguard.PerPacket(t, "cross-domain packet path", 50, burst, 0.02, cycle)
 	if got := w.MustNode("b").Drops; got == dropsBefore {
 		t.Fatal("probe packets never reached b's drop path")
-	}
-	if perPkt := avg / burst; perPkt > 0.02 {
-		t.Fatalf("cross-domain packet path allocates %.3f allocs/packet (%.1f per %d-packet burst), want 0",
-			perPkt, avg, burst)
 	}
 }

@@ -156,7 +156,7 @@ func TestProcessSendIPRoutesViaKernel(t *testing.T) {
 	proc := src.NewProcess(ProcessConfig{Name: "p", Share: 0.5})
 	got := 0
 	dst.StackListenUDP(7, func([]byte) { got++ })
-	proc.SendIP(packet.BuildUDP(src.Addr(), dst.Addr(), 1, 7, 64, nil))
+	proc.SendIPPacket(packet.New(packet.BuildUDP(src.Addr(), dst.Addr(), 1, 7, 64, nil)))
 	w.Run(10 * time.Millisecond)
 	if got != 1 {
 		t.Fatal("SendIP not delivered")

@@ -74,6 +74,9 @@ func (n *Node) drop() {
 }
 
 // StackHandler receives a full IP datagram delivered by the kernel.
+// dgram is borrowed: it aliases a pooled packet buffer that the kernel
+// recycles as soon as the handler returns, so a handler copies whatever
+// it keeps (see DESIGN.md, "Packet lifecycle & ownership").
 type StackHandler func(dgram []byte)
 
 type tapRoute struct {
@@ -191,16 +194,26 @@ func (n *Node) StackListenTCP(port uint16, h StackHandler) error {
 func (n *Node) StackUnlistenTCP(port uint16) { delete(n.stackTCP, port) }
 
 // InjectLocal delivers a datagram to this node's local consumers as if it
-// had arrived addressed to the node — the path Click's ToTap element uses
-// to hand overlay packets back to applications.
+// had arrived addressed to the node (the VPN client's tun device). The
+// datagram is wrapped, not copied; the caller must not modify it
+// afterwards.
 func (n *Node) InjectLocal(dgram []byte) {
-	var ip packet.IPv4
-	if _, err := ip.Parse(dgram); err != nil {
-		n.drop()
-		return
-	}
 	p := packet.Get()
 	p.SetData(dgram)
+	n.InjectLocalPacket(p)
+}
+
+// InjectLocalPacket is InjectLocal for a packet whose Data is the IP
+// datagram — the path Click's ToTap element uses to hand overlay packets
+// back to applications. Ownership transfers: the kernel releases the
+// packet once the local consumer has it.
+func (n *Node) InjectLocalPacket(p *packet.Packet) {
+	var ip packet.IPv4
+	if _, err := ip.Parse(p.Data); err != nil {
+		n.drop()
+		p.Release()
+		return
+	}
 	n.deliverLocal(ip, p)
 }
 
@@ -240,9 +253,18 @@ func (n *Node) ResetAccounting() {
 
 // StackSend transmits dgram from this node's kernel: tap routes first
 // (the 10/8 route to tap0), then local delivery, then kernel forwarding.
+// dgram is not copied; the caller must not modify it afterwards.
 func (n *Node) StackSend(dgram []byte) {
 	n.kernelCharge(n.prof.scaled(n.prof.StackCost))
 	n.send(dgram)
+}
+
+// StackSendPacket is StackSend for a datagram built in a packet the
+// caller owns (typically packet.Get plus in-place header encapsulation):
+// the allocation-free path senders use. Ownership transfers.
+func (n *Node) StackSendPacket(p *packet.Packet) {
+	n.kernelCharge(n.prof.scaled(n.prof.StackCost))
+	n.sendPacket(p)
 }
 
 // receive handles a packet arriving from a link.
@@ -321,10 +343,9 @@ func (n *Node) forwardOut(r fib.Route, p *packet.Packet) {
 }
 
 // deliverLocal hands a packet addressed to this node to its consumer.
-// Delivered packets are never Released here: stack handlers receive (and
-// may retain) p.Data, so the buffer must stay out of the pool and fall to
-// the garbage collector — Escape records that hand-off in the pool
-// ledger. Only undeliverable packets are released.
+// Process sockets take ownership (they queue the packet). Stack handlers
+// borrow p.Data for the duration of the call, after which the packet is
+// released here, as is every undeliverable packet.
 func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 	n.kernelCharge(n.prof.scaled(n.prof.StackCost))
 	switch ip.Proto {
@@ -341,8 +362,8 @@ func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 			return
 		}
 		if h, ok := n.stackUDP[u.DstPort]; ok {
-			p.Escape() // handler may retain p.Data; buffer leaves the pool
 			h(p.Data)
+			p.Release()
 			return
 		}
 		if s := n.rangeSocket(u.DstPort); s != nil {
@@ -365,8 +386,8 @@ func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 			return
 		}
 		if h, ok := n.stackTCP[th.DstPort]; ok {
-			p.Escape()
 			h(p.Data)
+			p.Release()
 			return
 		}
 		if s := n.rangeSocket(th.DstPort); s != nil {
@@ -377,8 +398,8 @@ func (n *Node) deliverLocal(ip packet.IPv4, p *packet.Packet) {
 		p.Release()
 	case packet.ProtoICMP:
 		if n.icmpTap != nil {
-			p.Escape()
 			n.icmpTap(p.Data)
+			p.Release()
 			return
 		}
 		n.drop()

@@ -31,12 +31,15 @@ type Process struct {
 	closed bool
 }
 
-// Socket is a UDP socket bound by a process.
+// Socket is a UDP socket bound by a process. It is also the typed
+// event handler (sim.Handler) for its own paid-for deliveries, so the
+// per-packet hand-off from the scheduler to the handler allocates
+// nothing.
 type Socket struct {
 	proc    *Process
 	port    uint16
 	handler func(p *packet.Packet)
-	buf     []*packet.Packet
+	buf     pktRing
 	bufB    int
 	// closed rejects enqueues and makes an in-flight delivery drop its
 	// packet instead of running the handler (teardown).
@@ -134,7 +137,7 @@ func (s *Socket) enqueue(p *packet.Packet) {
 		p.Release()
 		return
 	}
-	s.buf = append(s.buf, p)
+	s.buf.push(p)
 	s.bufB += p.Len()
 	s.proc.pending++
 	s.Received++
@@ -156,15 +159,16 @@ func (p *Process) SendUDP(srcPort uint16, dst netip.AddrPort, payload []byte, tt
 // the packet has DefaultHeadroom available, as tunnel-decapsulated
 // packets do). Ownership transfers to the substrate.
 func (p *Process) SendUDPPacket(srcPort uint16, dst netip.AddrPort, pkt *packet.Packet, ttl uint8) {
-	src := p.node.addr
-	packet.EncapUDP(pkt, src, dst.Addr(), srcPort, dst.Port())
-	packet.EncapIPv4(pkt, &packet.IPv4{TTL: ttl, Proto: packet.ProtoUDP, Src: src, Dst: dst.Addr()})
+	packet.EncapUDPIPv4(pkt, p.node.addr, dst.Addr(), srcPort, dst.Port(), ttl)
 	p.node.sendPacket(pkt)
 }
 
-// SendIP transmits a raw IP datagram from this process (tap0 writes).
-func (p *Process) SendIP(dgram []byte) {
-	p.node.send(dgram)
+// SendIPPacket transmits a raw IP datagram from this process (tap0
+// writes): pkt.Data is the datagram. Its annotations are cleared, as a
+// fresh kernel packet's are. Ownership transfers to the substrate.
+func (p *Process) SendIPPacket(pkt *packet.Packet) {
+	pkt.Anno = packet.Annotations{}
+	p.node.sendPacket(pkt)
 }
 
 // work is the scheduler WorkFunc: it consumes the CPU cost of the oldest
@@ -177,24 +181,30 @@ func (p *Process) work(budget time.Duration) (time.Duration, bool) {
 		p.pending = 0
 		return 0, false
 	}
-	pkt := s.buf[0]
+	pkt := s.buf.pop()
 	cost := p.node.prof.UserPacketCost(pkt.Len())
 	if cost > budget {
 		cost = budget // a grain is the scheduler's accounting floor
 	}
-	s.buf = s.buf[1:]
 	s.bufB -= pkt.Len()
 	p.pending--
-	p.node.dom.Schedule(cost, func() {
-		if s.closed {
-			// The process was torn down while this delivery was in
-			// flight; the handler's world no longer exists.
-			pkt.Release()
-			return
-		}
-		s.handler(pkt)
-	})
+	// Typed same-domain event: it takes the same (at, dom, seq) merge
+	// key a Schedule would, without a per-packet closure.
+	dom := p.node.dom
+	dom.Send(dom, cost, s, pkt)
 	return cost, p.pending > 0
+}
+
+// Invoke runs the handler for a delivery whose CPU cost work has paid.
+func (s *Socket) Invoke(arg any) {
+	pkt := arg.(*packet.Packet)
+	if s.closed {
+		// The process was torn down while this delivery was in flight;
+		// the handler's world no longer exists.
+		pkt.Release()
+		return
+	}
+	s.handler(pkt)
 }
 
 // SetPaused freezes or thaws the process: inbound packets tail-drop at
@@ -225,10 +235,10 @@ func (p *Process) Close() {
 		if s.port != 0 && n.udpPorts[s.port] == s {
 			delete(n.udpPorts, s.port)
 		}
-		for _, pkt := range s.buf {
-			pkt.Release()
+		for s.buf.len() > 0 {
+			s.buf.pop().Release()
 		}
-		s.buf = nil
+		s.buf = pktRing{}
 		s.bufB = 0
 	}
 	p.pending = 0
@@ -264,13 +274,57 @@ func (p *Process) nextReady() *Socket {
 	var best *Socket
 	var bestT time.Duration
 	for _, s := range p.socks {
-		if len(s.buf) == 0 {
+		if s.buf.len() == 0 {
 			continue
 		}
-		t := s.buf[0].Anno.Timestamp
+		t := s.buf.front().Anno.Timestamp
 		if best == nil || t < bestT {
 			best, bestT = s, t
 		}
 	}
 	return best
+}
+
+// pktRing is a socket receive queue: a FIFO over a circular backing
+// array that is reused for the socket's lifetime, so steady-state
+// enqueue/dequeue allocates nothing and a dequeued slot drops its
+// packet reference at once.
+type pktRing struct {
+	slots []*packet.Packet // len is zero or a power of two
+	head  int
+	n     int
+}
+
+func (r *pktRing) len() int { return r.n }
+
+func (r *pktRing) push(p *packet.Packet) {
+	if r.n == len(r.slots) {
+		r.grow()
+	}
+	r.slots[(r.head+r.n)&(len(r.slots)-1)] = p
+	r.n++
+}
+
+// front returns the oldest packet; the ring must be non-empty.
+func (r *pktRing) front() *packet.Packet { return r.slots[r.head] }
+
+// pop removes and returns the oldest packet; the ring must be non-empty.
+func (r *pktRing) pop() *packet.Packet {
+	p := r.slots[r.head]
+	r.slots[r.head] = nil
+	r.head = (r.head + 1) & (len(r.slots) - 1)
+	r.n--
+	return p
+}
+
+func (r *pktRing) grow() {
+	size := 2 * len(r.slots)
+	if size == 0 {
+		size = 16
+	}
+	slots := make([]*packet.Packet, size)
+	for i := 0; i < r.n; i++ {
+		slots[i] = r.slots[(r.head+i)&(len(r.slots)-1)]
+	}
+	r.slots, r.head = slots, 0
 }

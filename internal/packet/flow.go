@@ -69,6 +69,32 @@ func BuildUDP(src, dst netip.Addr, sport, dport uint16, ttl uint8, payload []byt
 	return ip.Marshal(seg)
 }
 
+// EncapUDPIPv4 prepends UDP and IPv4 headers to p in place: the
+// pooled-packet equivalent of BuildUDP, with p's contents as payload.
+func EncapUDPIPv4(p *Packet, src, dst netip.Addr, sport, dport uint16, ttl uint8) {
+	EncapUDP(p, src, dst, sport, dport)
+	EncapIPv4(p, &IPv4{TTL: ttl, Proto: ProtoUDP, Src: src, Dst: dst})
+}
+
+// EncapTCPIPv4 prepends TCP and IPv4 headers to p in place: the
+// pooled-packet equivalent of BuildTCP.
+func EncapTCPIPv4(p *Packet, src, dst netip.Addr, hdr TCP, ttl uint8) {
+	hdr.Put(src, dst, p.Extend(TCPHeaderLen))
+	EncapIPv4(p, &IPv4{TTL: ttl, Proto: ProtoTCP, Src: src, Dst: dst})
+}
+
+// EncapICMPEchoIPv4 prepends ICMP echo (or echo reply) and IPv4 headers
+// to p in place: the pooled-packet equivalent of BuildICMPEcho.
+func EncapICMPEchoIPv4(p *Packet, src, dst netip.Addr, reply bool, id, seq uint16, ttl uint8) {
+	typ := uint8(ICMPEcho)
+	if reply {
+		typ = ICMPEchoReply
+	}
+	ic := ICMP{Type: typ, ID: id, Seq: seq}
+	ic.Put(p.Extend(ICMPHeaderLen))
+	EncapIPv4(p, &IPv4{TTL: ttl, Proto: ProtoICMP, Src: src, Dst: dst})
+}
+
 // BuildTCP builds a complete IPv4/TCP datagram.
 func BuildTCP(src, dst netip.Addr, hdr TCP, ttl uint8, payload []byte) []byte {
 	seg := hdr.Marshal(src, dst, payload)

@@ -267,6 +267,16 @@ func (h *TCP) Parse(b []byte) ([]byte, error) {
 // Marshal serializes header+payload with pseudo-header checksum.
 func (h *TCP) Marshal(src, dst netip.Addr, payload []byte) []byte {
 	b := make([]byte, TCPHeaderLen+len(payload))
+	copy(b[TCPHeaderLen:], payload)
+	h.Put(src, dst, b)
+	return b
+}
+
+// Put serializes the header (no options) into the first TCPHeaderLen
+// bytes of seg, which must already hold the payload at
+// seg[TCPHeaderLen:], and computes the pseudo-header checksum in place.
+func (h *TCP) Put(src, dst netip.Addr, seg []byte) {
+	b := seg[:TCPHeaderLen]
 	binary.BigEndian.PutUint16(b[0:2], h.SrcPort)
 	binary.BigEndian.PutUint16(b[2:4], h.DstPort)
 	binary.BigEndian.PutUint32(b[4:8], h.Seq)
@@ -274,9 +284,8 @@ func (h *TCP) Marshal(src, dst netip.Addr, payload []byte) []byte {
 	b[12] = 5 << 4
 	b[13] = h.Flags & 0x3f
 	binary.BigEndian.PutUint16(b[14:16], h.Window)
-	copy(b[TCPHeaderLen:], payload)
-	binary.BigEndian.PutUint16(b[16:18], transportChecksum(src, dst, ProtoTCP, b))
-	return b
+	b[16], b[17], b[18], b[19] = 0, 0, 0, 0
+	binary.BigEndian.PutUint16(b[16:18], transportChecksum(src, dst, ProtoTCP, seg))
 }
 
 // ICMP message types used here.
@@ -316,11 +325,20 @@ func (h *ICMP) Parse(b []byte) ([]byte, error) {
 // Marshal serializes header+payload, computing the checksum.
 func (h *ICMP) Marshal(payload []byte) []byte {
 	b := make([]byte, ICMPHeaderLen+len(payload))
+	copy(b[ICMPHeaderLen:], payload)
+	h.Put(b)
+	return b
+}
+
+// Put serializes the header into the first ICMPHeaderLen bytes of msg,
+// which must already hold the payload at msg[ICMPHeaderLen:], and
+// computes the checksum over the whole message in place.
+func (h *ICMP) Put(msg []byte) {
+	b := msg[:ICMPHeaderLen]
 	b[0] = h.Type
 	b[1] = h.Code
+	b[2], b[3] = 0, 0
 	binary.BigEndian.PutUint16(b[4:6], h.ID)
 	binary.BigEndian.PutUint16(b[6:8], h.Seq)
-	copy(b[ICMPHeaderLen:], payload)
-	binary.BigEndian.PutUint16(b[2:4], Checksum(b))
-	return b
+	binary.BigEndian.PutUint16(b[2:4], Checksum(msg))
 }

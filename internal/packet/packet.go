@@ -132,7 +132,7 @@ type PoolStats struct {
 	// Releases counts packets returned to the pool with Release.
 	Releases uint64
 	// Escapes counts packets whose ownership left the pool for good:
-	// delivered to a stack handler that may retain the buffer.
+	// handed to a consumer that may retain the buffer.
 	Escapes uint64
 }
 
@@ -169,6 +169,17 @@ func Get() *Packet {
 	return p
 }
 
+// GetPayload returns a pooled packet whose Data is n zero bytes — a
+// sender's payload, written in place before the transport and IPv4
+// headers are prepended into the headroom (EncapUDPIPv4, EncapTCPIPv4,
+// EncapICMPEchoIPv4). The result is byte-identical to the allocating
+// Build* helpers without allocating.
+func GetPayload(n int) *Packet {
+	p := Get()
+	clear(p.Extend(n))
+	return p
+}
+
 // Release returns a pooled packet to the pool. Releasing a wrapped
 // (non-pooled) packet is a no-op — the garbage collector reclaims it —
 // so drop paths may call Release unconditionally. Releasing the same
@@ -187,9 +198,10 @@ func (p *Packet) Release() {
 }
 
 // Escape removes a pooled packet from the pool's ledger without
-// returning its buffer: the receiver (a simulated kernel stack handler,
-// a tap consumer) may retain p.Data indefinitely, so the buffer must
-// never be recycled. After Escape the packet behaves as a wrapped
+// returning its buffer: the receiver (a routing protocol's Receive,
+// which may keep slices of its message) may retain p.Data indefinitely,
+// so the buffer must never be recycled. Data-plane consumers borrow
+// instead and never need it. After Escape the packet behaves as a wrapped
 // packet — Release becomes a no-op. Calling Escape on a wrapped packet
 // is a no-op; calling it after Release panics (the owner already gave
 // the buffer away).

@@ -314,3 +314,52 @@ func TestFlowOfRejectsFragmentsAndGarbage(t *testing.T) {
 		t.Fatal("fragment accepted")
 	}
 }
+
+// TestEncapBuildersMatchBuild pins the pooled sender path — GetPayload,
+// then in-place transport and IPv4 headers — to the allocating Build*
+// reference builders, on recycled buffers full of stale bytes.
+func TestEncapBuildersMatchBuild(t *testing.T) {
+	dirty := func() {
+		var ps []*Packet
+		for i := 0; i < 8; i++ {
+			p := Get()
+			b := p.Extend(1500)
+			for j := range b {
+				b[j] = 0xa5
+			}
+			ps = append(ps, p)
+		}
+		for _, p := range ps {
+			p.Release()
+		}
+	}
+	hdr := TCP{SrcPort: 6001, DstPort: 5001, Seq: 0x01020304, Ack: 0x0a0b0c0d,
+		Flags: TCPAck | TCPPsh, Window: 16384}
+	for _, n := range []int{0, 1, 25, 56, 1430, 2100} {
+		dirty()
+		p := GetPayload(n)
+		EncapUDPIPv4(p, srcA, dstA, 6001, 5001, 64)
+		if want := BuildUDP(srcA, dstA, 6001, 5001, 64, make([]byte, n)); !bytes.Equal(p.Data, want) {
+			t.Fatalf("UDP, %d-byte payload: in-place %x, Build %x", n, p.Data, want)
+		}
+		p.Release()
+
+		dirty()
+		p = GetPayload(n)
+		EncapTCPIPv4(p, srcA, dstA, hdr, 63)
+		if want := BuildTCP(srcA, dstA, hdr, 63, make([]byte, n)); !bytes.Equal(p.Data, want) {
+			t.Fatalf("TCP, %d-byte payload: in-place %x, Build %x", n, p.Data, want)
+		}
+		p.Release()
+
+		for _, reply := range []bool{false, true} {
+			dirty()
+			p = GetPayload(n)
+			EncapICMPEchoIPv4(p, srcA, dstA, reply, 0x1001, 7, 64)
+			if want := BuildICMPEcho(srcA, dstA, reply, 0x1001, 7, 64, make([]byte, n)); !bytes.Equal(p.Data, want) {
+				t.Fatalf("ICMP echo (reply %v), %d-byte payload: in-place %x, Build %x", reply, n, p.Data, want)
+			}
+			p.Release()
+		}
+	}
+}

@@ -105,9 +105,10 @@ type Task struct {
 	// and waiting whether that wake's latency is still unrecorded.
 	wakeAt  time.Duration
 	waiting bool
-	// WakeStat records per-wake scheduling latency in milliseconds —
-	// the quantity whose tail causes the paper's Figure 6(a) losses.
-	WakeStat sim.Stats
+	// WakeStat summarises per-wake scheduling latency in milliseconds —
+	// the quantity whose tail causes the paper's Figure 6(a) losses. It
+	// is constant-size; the mWake histogram keeps the distribution.
+	WakeStat sim.Summary
 	// Telemetry mirrors (nil-safe): cumulative CPU nanoseconds consumed
 	// and the wake-to-dispatch latency distribution.
 	mUsed *telemetry.Counter
@@ -175,6 +176,9 @@ type CPU struct {
 	refillKick bool
 	// mBusy is the telemetry mirror of busy (cumulative, nil-safe).
 	mBusy *telemetry.Counter
+	// grainFn is grainDone bound once, so scheduling a grain's
+	// completion allocates no method value.
+	grainFn func()
 }
 
 // Instrument attaches the CPU's cumulative busy-time counter
@@ -184,7 +188,9 @@ func (c *CPU) Instrument(busyNS *telemetry.Counter) { c.mBusy = busyNS }
 // New returns a CPU bound to a domain-scoped clock (or a Loop).
 func New(clock sim.Clock, opt Options) *CPU {
 	opt.setDefaults()
-	return &CPU{clock: clock, opt: opt, started: clock.Now()}
+	c := &CPU{clock: clock, opt: opt, started: clock.Now()}
+	c.grainFn = c.grainDone
+	return c
 }
 
 // Options returns the CPU's effective options.
@@ -260,7 +266,7 @@ func (c *CPU) ResetAccounting() {
 	c.busy = 0
 	for _, t := range c.tasks {
 		t.used = 0
-		t.WakeStat = sim.Stats{}
+		t.WakeStat = sim.Summary{}
 	}
 }
 
@@ -390,7 +396,7 @@ func (c *CPU) dispatch() {
 			continue
 		}
 		c.running = true
-		c.clock.Schedule(used, c.grainDone)
+		c.clock.Schedule(used, c.grainFn)
 		return
 	}
 }

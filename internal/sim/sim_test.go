@@ -303,3 +303,31 @@ func TestRealClock(t *testing.T) {
 		t.Fatal("could not stop real timer")
 	}
 }
+
+// TestSummaryMatchesStats: the constant-size Summary reports exactly
+// what a full Stats log does for the accessors both provide.
+func TestSummaryMatchesStats(t *testing.T) {
+	var empty Summary
+	if empty.N() != 0 || empty.Mean() != 0 || empty.Min() != 0 || empty.Max() != 0 {
+		t.Fatalf("empty summary = %+v", empty)
+	}
+	f := func(xs []float64) bool {
+		var st Stats
+		var su Summary
+		for _, x := range xs {
+			st.Add(x)
+			su.Add(x)
+		}
+		return su.N() == st.N() && su.Mean() == st.Mean() &&
+			su.Min() == st.Min() && su.Max() == st.Max()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	var su Summary
+	su.AddDuration(1500 * time.Microsecond)
+	su.AddDuration(500 * time.Microsecond)
+	if su.Mean() != 1 || su.Min() != 0.5 || su.Max() != 1.5 {
+		t.Fatalf("durations: mean %v min %v max %v, want 1/0.5/1.5 ms", su.Mean(), su.Min(), su.Max())
+	}
+}

@@ -119,3 +119,47 @@ func (s *Stats) String() string {
 	return fmt.Sprintf("min/avg/max/mdev = %.3f/%.3f/%.3f/%.3f",
 		s.Min(), s.Mean(), s.Max(), s.Mdev())
 }
+
+// Summary is the constant-size running form of Stats: count, sum, min
+// and max, with no sample log. Long-lived per-event observers (one
+// sample per scheduler wake) use it so memory stays flat however long
+// the run; distributions belong in telemetry histograms.
+type Summary struct {
+	n        int
+	sum      float64
+	min, max float64
+}
+
+// Add records one sample.
+func (s *Summary) Add(v float64) {
+	if s.n == 0 || v < s.min {
+		s.min = v
+	}
+	if s.n == 0 || v > s.max {
+		s.max = v
+	}
+	s.n++
+	s.sum += v
+}
+
+// AddDuration records a duration sample in milliseconds.
+func (s *Summary) AddDuration(d time.Duration) {
+	s.Add(float64(d) / float64(time.Millisecond))
+}
+
+// N returns the number of samples.
+func (s *Summary) N() int { return s.n }
+
+// Mean returns the sample mean (0 when empty).
+func (s *Summary) Mean() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / float64(s.n)
+}
+
+// Min returns the smallest sample (0 when empty).
+func (s *Summary) Min() float64 { return s.min }
+
+// Max returns the largest sample (0 when empty).
+func (s *Summary) Max() float64 { return s.max }

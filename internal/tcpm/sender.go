@@ -37,6 +37,8 @@ type Sender struct {
 	rttAt    time.Duration
 	rttValid bool
 	lastSend time.Duration
+	// rtoFn is onRTO bound once for the retransmission timer.
+	rtoFn func()
 	// Stats.
 	Retransmits uint64
 	Timeouts    uint64
@@ -49,7 +51,7 @@ type Sender struct {
 func NewSender(clock sim.Clock, cfg Config, local netip.Addr, port uint16,
 	peer netip.Addr, pport uint16, out Output) *Sender {
 	cfg.setDefaults()
-	return &Sender{
+	s := &Sender{
 		cfg: cfg, clock: clock, out: out,
 		local: local, peer: peer, port: port, pport: pport,
 		state: "idle",
@@ -57,6 +59,8 @@ func NewSender(clock sim.Clock, cfg Config, local netip.Addr, port uint16,
 		rwnd:  cfg.RcvWnd,
 		cc:    NewReno(cfg),
 	}
+	s.rtoFn = s.onRTO
+	return s
 }
 
 // SetCongestion swaps the congestion controller (before Start).
@@ -73,7 +77,7 @@ func (s *Sender) Start(total uint64) {
 	s.sndUna = s.isn
 	s.sndNxt = s.isn
 	s.cc.Open()
-	s.sendSeg(packet.TCPSyn, s.sndNxt, nil)
+	s.sendSeg(packet.TCPSyn, s.sndNxt, 0)
 	s.sndNxt++
 	s.armRTO()
 }
@@ -97,7 +101,8 @@ func (s *Sender) Acked() uint64 {
 // Cwnd returns the current congestion window in bytes.
 func (s *Sender) Cwnd() int { return int(s.cc.Window()) }
 
-// Deliver feeds an incoming IP datagram (ACKs from the receiver).
+// Deliver feeds an incoming IP datagram (ACKs from the receiver). It
+// keeps nothing of dgram, which the kernel lends for the call only.
 func (s *Sender) Deliver(dgram []byte) {
 	if s.state == "done" || s.state == "idle" {
 		return
@@ -121,7 +126,7 @@ func (s *Sender) Deliver(dgram []byte) {
 		}
 		s.state = "established"
 		s.sndUna = s.sndNxt
-		s.sendSeg(packet.TCPAck, s.sndNxt, nil) // complete handshake
+		s.sendSeg(packet.TCPAck, s.sndNxt, 0) // complete handshake
 		s.clearRTO()
 		s.pump()
 		return
@@ -229,7 +234,7 @@ func (s *Sender) pump() {
 			return
 		}
 		seq := s.sndNxt
-		s.sendSeg(packet.TCPAck, seq, make([]byte, n))
+		s.sendSeg(packet.TCPAck, seq, n)
 		s.sndNxt += uint32(n)
 		if !s.rttValid {
 			s.rttSeq = seq + uint32(n)
@@ -254,14 +259,18 @@ func (s *Sender) retransmitFirst() {
 	}
 	s.Retransmits++
 	s.rttValid = false // Karn's algorithm
-	s.sendSeg(packet.TCPAck, s.sndUna, make([]byte, n))
+	s.sendSeg(packet.TCPAck, s.sndUna, n)
 	s.lastSend = s.clock.Now()
 }
 
-func (s *Sender) sendSeg(flags uint8, seq uint32, payload []byte) {
+// sendSeg emits one segment carrying n zero payload bytes (iperf's
+// bulk data), built in a pooled packet.
+func (s *Sender) sendSeg(flags uint8, seq uint32, n int) {
 	th := packet.TCP{SrcPort: s.port, DstPort: s.pport, Seq: seq,
 		Flags: flags, Window: uint16(min(s.cfg.RcvWnd, 0xffff))}
-	s.out(packet.BuildTCP(s.local, s.peer, th, 64, payload))
+	p := packet.GetPayload(n)
+	packet.EncapTCPIPv4(p, s.local, s.peer, th, 64)
+	s.out(p)
 }
 
 func (s *Sender) sampleRTT(rtt time.Duration) {
@@ -288,7 +297,7 @@ func (s *Sender) armRTO() {
 	if rto > time.Minute {
 		rto = time.Minute
 	}
-	s.rtoTimer = s.clock.Schedule(rto, s.onRTO)
+	s.rtoTimer = s.clock.Schedule(rto, s.rtoFn)
 }
 
 func (s *Sender) clearRTO() {
@@ -305,7 +314,7 @@ func (s *Sender) onRTO() {
 	}
 	s.Timeouts++
 	if s.state == "syn-sent" {
-		s.sendSeg(packet.TCPSyn, s.isn, nil)
+		s.sendSeg(packet.TCPSyn, s.isn, 0)
 		s.backoff++
 		s.armRTO()
 		return

@@ -49,8 +49,9 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Output transmits a serialized IP datagram (typically Node.StackSend).
-type Output func(dgram []byte)
+// Output transmits an IP datagram built in a pooled packet (typically
+// Node.StackSendPacket). Ownership of the packet transfers.
+type Output func(p *packet.Packet)
 
 // Arrival is one data-segment arrival at the receiver, Figure 9(b)'s
 // y-axis (position in the byte stream) against its x-axis (time).
@@ -83,14 +84,18 @@ type Receiver struct {
 	// delayed-ACK state: one un-ACKed segment allowed.
 	ackPending bool
 	ackTimer   sim.Timer
+	// ackFn is sendAckNow bound once for the delayed-ACK timer.
+	ackFn func()
 }
 
 // NewReceiver creates a listening endpoint; wire its Deliver to the
 // node's TCP stack handler for the chosen port.
 func NewReceiver(clock sim.Clock, cfg Config, local netip.Addr, port uint16, out Output) *Receiver {
 	cfg.setDefaults()
-	return &Receiver{cfg: cfg, clock: clock, out: out, local: local, port: port,
+	r := &Receiver{cfg: cfg, clock: clock, out: out, local: local, port: port,
 		ooo: make(map[uint32]int)}
+	r.ackFn = r.sendAckNow
+	return r
 }
 
 // Close cancels the receiver's pending delayed-ACK timer so workload
@@ -104,7 +109,8 @@ func (r *Receiver) Close() {
 	r.ackPending = false
 }
 
-// Deliver feeds an incoming IP datagram addressed to the receiver.
+// Deliver feeds an incoming IP datagram addressed to the receiver. It
+// keeps nothing of dgram, which the kernel lends for the call only.
 func (r *Receiver) Deliver(dgram []byte) {
 	var ip packet.IPv4
 	seg, err := ip.Parse(dgram)
@@ -174,7 +180,7 @@ func (r *Receiver) scheduleAck() {
 		return
 	}
 	r.ackPending = true
-	r.ackTimer = r.clock.Schedule(40*time.Millisecond, r.sendAckNow)
+	r.ackTimer = r.clock.Schedule(40*time.Millisecond, r.ackFn)
 }
 
 func (r *Receiver) sendAckNow() {
@@ -196,7 +202,9 @@ func (r *Receiver) sendFlags(flags uint8, seq, ack uint32) {
 	}
 	th := packet.TCP{SrcPort: r.port, DstPort: r.pport, Seq: seq, Ack: ack,
 		Flags: flags, Window: uint16(wnd)}
-	r.out(packet.BuildTCP(r.local, r.peer, th, 64, nil))
+	p := packet.Get()
+	packet.EncapTCPIPv4(p, r.local, r.peer, th, 64)
+	r.out(p)
 }
 
 func (r *Receiver) oooBytes() int {

@@ -168,9 +168,11 @@ type Adaptive struct {
 	sentBytes  uint64
 	tickTimer  sim.Timer
 	watchTimer sim.Timer
-	lastFB     time.Duration // sim time feedback was last applied
-	lastPoint  time.Duration // sim time of the previous trace point
-	lastSent   uint64        // sentBytes at the previous trace point
+	// tickFn is tick bound once, so pacing allocates no method value.
+	tickFn    func()
+	lastFB    time.Duration // sim time feedback was last applied
+	lastPoint time.Duration // sim time of the previous trace point
+	lastSent  uint64        // sentBytes at the previous trace point
 	// Trace is the estimate-vs-actual series; read it at a barrier.
 	Trace []RatePoint
 	// FeedbackRx and Decays count controller updates.
@@ -230,6 +232,7 @@ func StartAdaptive(w *netem.Network, client, server *netem.Node, cfg AdaptiveCon
 		rate: cfg.InitBps, est: cfg.InitBps,
 		tel: cfg.Telemetry,
 	}
+	a.tickFn = a.tick
 	if cfg.SrcAddr.IsValid() {
 		a.src = cfg.SrcAddr
 	}
@@ -317,13 +320,14 @@ func (a *Adaptive) tick() {
 	if !a.active {
 		return
 	}
-	payload := make([]byte, a.cfg.Payload)
-	putFrame(payload, a.seq, a.send.Now())
+	p := packet.GetPayload(a.cfg.Payload)
+	putFrame(p.Data, a.seq, a.send.Now())
 	a.seq++
 	wire := a.cfg.Payload + packet.UDPHeaderLen + packet.IPv4HeaderLen
 	a.sentBytes += uint64(wire)
-	a.client.StackSend(packet.BuildUDP(a.src, a.dst, a.fbPort, a.dataPort, 64, payload))
-	a.tickTimer = a.send.Schedule(paceInterval(wire, a.rate), a.tick)
+	packet.EncapUDPIPv4(p, a.src, a.dst, a.fbPort, a.dataPort, 64)
+	a.client.StackSendPacket(p)
+	a.tickTimer = a.send.Schedule(paceInterval(wire, a.rate), a.tickFn)
 }
 
 // receiveFeedback applies a receiver report (client domain).
@@ -526,12 +530,14 @@ func (a *Adaptive) feedbackTick() {
 			Elem: "adaptive", Detail: "overuse", Value: int64(a.est)})
 	}
 
-	body := make([]byte, feedbackLen)
+	p := packet.GetPayload(feedbackLen)
+	body := p.Data
 	putF64bits(body[0:8], a.est)
 	putF64bits(body[8:16], delivered)
 	putF64bits(body[16:24], wg)
 	body[24] = a.state
-	a.server.StackSend(packet.BuildUDP(a.dst, a.src, a.dataPort, a.fbPort, 64, body))
+	packet.EncapUDPIPv4(p, a.dst, a.src, a.dataPort, a.fbPort, 64)
+	a.server.StackSendPacket(p)
 }
 
 // Feedback carries float64 state as raw IEEE-754 bits: the sender

@@ -75,8 +75,11 @@ func (h *ICMPHost) deliver(dgram []byte) {
 	switch ic.Type {
 	case packet.ICMPEcho:
 		// Respond, echoing the body, from the address that was pinged.
-		reply := packet.BuildICMPEcho(ip.Dst, ip.Src, true, ic.ID, ic.Seq, 64, body)
-		h.node.StackSend(reply)
+		// dgram is borrowed, so the body is copied into the reply.
+		reply := packet.GetPayload(len(body))
+		copy(reply.Data, body)
+		packet.EncapICMPEchoIPv4(reply, ip.Dst, ip.Src, true, ic.ID, ic.Seq, 64)
+		h.node.StackSendPacket(reply)
 	case packet.ICMPEchoReply:
 		if p, ok := h.clients[ic.ID]; ok {
 			p.reply(ic.Seq)
@@ -108,16 +111,19 @@ type PingSample struct {
 
 // Ping is a running echo client.
 type Ping struct {
-	host   *ICMPHost
-	clock  sim.Clock
-	cfg    PingConfig
-	id     uint16
-	seq    uint16
-	sent   map[uint16]time.Duration
-	timers map[uint16]sim.Timer
+	host  *ICMPHost
+	clock sim.Clock
+	cfg   PingConfig
+	id    uint16
+	seq   uint16
+	// waits holds the outstanding echoes by sequence number; answered
+	// and timed-out waits recycle through free.
+	waits map[uint16]*echoWait
+	free  *echoWait
 	// tickTimer is the pending interval tick; Stop cancels it so
 	// teardown leaves nothing live in the domain heap.
 	tickTimer sim.Timer
+	tickFn    func()
 	stopped   bool
 	// RTTs aggregates in milliseconds (ping's min/avg/max/mdev line).
 	RTTs sim.Stats
@@ -142,7 +148,8 @@ func (h *ICMPHost) StartPing(cfg PingConfig) *Ping {
 	}
 	h.nextID++
 	p := &Ping{host: h, clock: h.node.Clock(), cfg: cfg, id: h.nextID,
-		sent: make(map[uint16]time.Duration), timers: make(map[uint16]sim.Timer)}
+		waits: make(map[uint16]*echoWait)}
+	p.tickFn = p.tick
 	h.clients[p.id] = p
 	p.tick()
 	return p
@@ -163,8 +170,8 @@ func (p *Ping) Start() {
 func (p *Ping) Stop() {
 	p.stopped = true
 	delete(p.host.clients, p.id)
-	for _, t := range p.timers {
-		t.Stop()
+	for _, w := range p.waits {
+		w.timer.Stop()
 	}
 	if !p.tickTimer.IsZero() {
 		p.tickTimer.Stop()
@@ -181,37 +188,71 @@ func (p *Ping) tick() {
 		return
 	}
 	p.seq++
-	seq := p.seq
-	now := p.clock.Now()
-	p.sent[seq] = now
+	w := p.wait()
+	w.seq = p.seq
+	w.at = p.clock.Now()
+	p.waits[w.seq] = w
 	p.Sent++
-	echo := packet.BuildICMPEcho(p.cfg.Src, p.cfg.Dst, false, p.id, seq, 64,
-		make([]byte, p.cfg.Payload))
-	p.host.node.StackSend(echo)
-	p.timers[seq] = p.clock.Schedule(p.cfg.Timeout, func() {
-		if at, ok := p.sent[seq]; ok {
-			delete(p.sent, seq)
-			delete(p.timers, seq)
-			p.Lost++
-			p.Timeline = append(p.Timeline, PingSample{At: at, Lost: true})
-		}
-	})
-	p.tickTimer = p.clock.Schedule(p.cfg.Interval, p.tick)
+	echo := packet.GetPayload(p.cfg.Payload)
+	packet.EncapICMPEchoIPv4(echo, p.cfg.Src, p.cfg.Dst, false, p.id, w.seq, 64)
+	p.host.node.StackSendPacket(echo)
+	w.timer = p.clock.Schedule(p.cfg.Timeout, w.fire)
+	p.tickTimer = p.clock.Schedule(p.cfg.Interval, p.tickFn)
 }
 
 func (p *Ping) reply(seq uint16) {
-	at, ok := p.sent[seq]
+	w, ok := p.waits[seq]
 	if !ok {
 		return // late duplicate
 	}
-	delete(p.sent, seq)
-	if t, ok := p.timers[seq]; ok {
-		t.Stop()
-		delete(p.timers, seq)
-	}
-	rtt := p.clock.Now() - at
+	delete(p.waits, seq)
+	w.timer.Stop()
+	rtt := p.clock.Now() - w.at
 	p.RTTs.AddDuration(rtt)
-	p.Timeline = append(p.Timeline, PingSample{At: at, RTT: rtt})
+	p.Timeline = append(p.Timeline, PingSample{At: w.at, RTT: rtt})
+	p.recycle(w)
+}
+
+// echoWait is one outstanding echo: its send time and loss timeout.
+// fire is bound once when the wait is first made, so a steady ping
+// allocates nothing per echo.
+type echoWait struct {
+	p     *Ping
+	seq   uint16
+	at    time.Duration
+	timer sim.Timer
+	fire  func()
+	next  *echoWait
+}
+
+// wait takes a recycled echo wait, or makes one.
+func (p *Ping) wait() *echoWait {
+	if w := p.free; w != nil {
+		p.free, w.next = w.next, nil
+		return w
+	}
+	w := &echoWait{p: p}
+	w.fire = w.timeout
+	return w
+}
+
+func (p *Ping) recycle(w *echoWait) {
+	w.timer = sim.Timer{}
+	w.next, p.free = p.free, w
+}
+
+// timeout records the echo as lost if no reply has claimed it.
+func (w *echoWait) timeout() {
+	p := w.p
+	if p.waits[w.seq] != w {
+		// Superseded by a later echo that wrapped the sequence space.
+		p.recycle(w)
+		return
+	}
+	delete(p.waits, w.seq)
+	p.Lost++
+	p.Timeline = append(p.Timeline, PingSample{At: w.at, Lost: true})
+	p.recycle(w)
 }
 
 // LossRate returns the fraction of echoes lost.

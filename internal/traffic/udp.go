@@ -43,18 +43,16 @@ type UDPCBR struct {
 	ep        *Endpoint
 	seq       uint32
 	tickTimer sim.Timer
-	active    bool
-	closed    bool
+	// tickFn is tick bound once, so pacing allocates no method value.
+	tickFn func()
+	active bool
+	closed bool
 	// Receiver state.
 	received  uint32
 	maxSeq    uint32
 	jitter    float64 // seconds, RFC 1889 smoothed
 	lastTrans time.Duration
 	haveTrans bool
-	// JitterStats samples the smoothed jitter (ms) at each arrival.
-	JitterStats sim.Stats
-	// TransitStats records one-way transit times (ms).
-	TransitStats sim.Stats
 }
 
 // StartUDPCBR begins the test; Stop it after the measurement interval,
@@ -72,6 +70,7 @@ func StartUDPCBR(w *netem.Network, client, server *netem.Node, cfg UDPCBRConfig)
 	t := &UDPCBR{send: client.Clock(), recv: server.Clock(), cfg: cfg,
 		client: client, src: client.Addr(), dst: server.Addr(),
 		ctrl: cfg.Controller, ep: NewEndpoint(server)}
+	t.tickFn = t.tick
 	if t.ctrl == nil {
 		t.ctrl = NewFixedRate(cfg.RateBps)
 	}
@@ -124,13 +123,14 @@ func (t *UDPCBR) tick() {
 	if !t.active {
 		return
 	}
-	payload := make([]byte, t.cfg.Payload)
-	putFrame(payload, t.seq, t.send.Now())
+	p := packet.GetPayload(t.cfg.Payload)
+	putFrame(p.Data, t.seq, t.send.Now())
 	t.seq++
-	t.client.StackSend(packet.BuildUDP(t.src, t.dst, t.cfg.Port+1000, t.cfg.Port, 64, payload))
+	packet.EncapUDPIPv4(p, t.src, t.dst, t.cfg.Port+1000, t.cfg.Port, 64)
+	t.client.StackSendPacket(p)
 	interval := paceInterval(t.cfg.Payload+packet.UDPHeaderLen+packet.IPv4HeaderLen,
 		t.ctrl.TargetBps())
-	t.tickTimer = t.send.Schedule(interval, t.tick)
+	t.tickTimer = t.send.Schedule(interval, t.tickFn)
 }
 
 func (t *UDPCBR) receive(dgram []byte) {
@@ -153,7 +153,6 @@ func (t *UDPCBR) receive(dgram []byte) {
 		t.maxSeq = seq
 	}
 	transit := t.recv.Now() - sentAt
-	t.TransitStats.AddDuration(transit)
 	if t.haveTrans {
 		d := transit - t.lastTrans
 		if d < 0 {
@@ -161,7 +160,6 @@ func (t *UDPCBR) receive(dgram []byte) {
 		}
 		// RFC 1889: J += (|D| - J) / 16.
 		t.jitter += (d.Seconds() - t.jitter) / 16
-		t.JitterStats.Add(t.jitter * 1000)
 	}
 	t.haveTrans = true
 	t.lastTrans = transit
